@@ -14,15 +14,14 @@
 //!   enumerated-pool / priced-columns ratio behind the ≥10× claim is
 //!   visible in the output;
 //! * `scale_dense` — the headline configs (`size(g) ≤ 6`, trace length
-//!   scaled with the class count). The enumerated route needs 12.7 s on
-//!   the 16-class instance (pool 11,541) and did not finish a 400 s
-//!   calibration timeout on the 32-class one (pool 122,992); column
-//!   generation solves the 32-class pool — 10.7× the largest
-//!   enumerated-handled pool — in 37.2 s with the warm-started revised
-//!   master (76.8 s before it, on the rebuilt-per-round dense tableau).
-//!   The group also sweeps the master phase on the 16-class instance:
-//!   `master/{dense,revised}` × smoothing on (`master/...`) / off
-//!   (`master/...-plain`).
+//!   scaled with the class count). On a 2-core VM the enumerated route
+//!   needs 17.1 s on the 16-class instance (pool 11,541), where column
+//!   generation takes 300 ms; the enumerated route did not finish a
+//!   400 s calibration timeout on the 32-class one (pool 122,992), and
+//!   column generation solves that pool — 10.7× the largest
+//!   enumerated-handled pool — in 39.5 s with the warm-started revised
+//!   master. The group also sweeps the master phase on the 16-class
+//!   instance: `master/{dense,revised}` (1.04 s against 197 ms).
 //!
 //! `GECCO_SCALE=smoke` shrinks every size for CI (and skips the dense
 //! group); `GECCO_SCALE=deep` additionally runs the 40-class instance
@@ -226,27 +225,22 @@ fn bench_scale_dense(c: &mut Criterion) {
         );
     }
     // Master-phase sweep: dense tableau versus warm-started revised
-    // simplex, Wentges smoothing on and off, on the 16-class instance.
-    // (All four variants return bit-identical selections — the
-    // equivalence suites assert that — so this isolates the master
-    // solve cost; the 32-class dense master alone would dominate the
-    // whole bench run, hence the small instance.)
+    // simplex on the 16-class instance. (Both return bit-identical
+    // selections — the equivalence suites assert that — so this isolates
+    // the master solve cost; the 32-class dense master alone would
+    // dominate the whole bench run, hence the small instance.)
     let (classes, len) = (16usize, 16usize);
     let log = dense_log(classes, len);
     let compiled = dense_compile(&log);
     let index = LogIndex::build(&log);
     let ctx = EvalContext::new(&log, &index);
     let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
-    for (name, master, smoothing) in [
-        ("master/revised", MasterEngine::Revised, true),
-        ("master/revised-plain", MasterEngine::Revised, false),
-        ("master/dense", MasterEngine::Dense, true),
-        ("master/dense-plain", MasterEngine::Dense, false),
-    ] {
+    for (name, master) in
+        [("master/revised", MasterEngine::Revised), ("master/dense", MasterEngine::Dense)]
+    {
         let options = SelectionOptions {
             column_generation: ColGenMode::On,
             colgen_master: master,
-            colgen_smoothing: smoothing,
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new(name, classes), &log, |b, log| {

@@ -35,7 +35,7 @@ pub fn extend_with_exclusive_candidates(
     // computation out over all cores (serial when parallelism is off).
     let snapshot: Vec<ClassSet> = candidates.groups().to_vec();
     let keys: Vec<(ClassSet, ClassSet)> =
-        crate::parallel::par_map(&snapshot, 32, |g| (dfg.preset(g), dfg.postset(g)));
+        gecco_eventlog::parallel::par_map(&snapshot, 32, |g| (dfg.preset(g), dfg.postset(g)));
     let mut by_pre_post: HashMap<(ClassSet, ClassSet), Vec<ClassSet>> = HashMap::new();
     for (g, key) in snapshot.iter().zip(&keys) {
         by_pre_post.entry(*key).or_default().push(*g);

@@ -6,7 +6,7 @@ pub mod exhaustive;
 pub mod session;
 
 use gecco_constraints::{CheckingMode, CompiledConstraintSet};
-use gecco_eventlog::{ClassSet, EvalContext};
+use gecco_eventlog::{parallel, ClassSet, EvalContext};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -133,7 +133,7 @@ impl PreevaluatedChecks {
     /// perform on `entries` (each `(group, has_satisfied_subset)`), given
     /// `touched` budget units already consumed. Each chunk worker rebuilds
     /// a private [`EvalContext`] (its own scratch buffers) from the shared
-    /// parts of `ctx`. Returns `None` when parallelism is disabled —
+    /// parts of `ctx`. Returns `None` when only one worker is available —
     /// callers then check inline as before.
     pub(crate) fn evaluate(
         ctx: &EvalContext<'_>,
@@ -142,7 +142,7 @@ impl PreevaluatedChecks {
         budget: Budget,
         mut touched: usize,
     ) -> Option<Self> {
-        if !crate::parallel::parallel_enabled() {
+        if parallel::worker_count() <= 1 {
             return None;
         }
         let mode = constraints.mode();
@@ -163,7 +163,7 @@ impl PreevaluatedChecks {
             }
         }
         let parts = ctx.parts();
-        let verdicts = crate::parallel::par_map_scoped(
+        let verdicts = parallel::par_map_scoped(
             &need,
             2,
             || parts.context(),
@@ -174,7 +174,7 @@ impl PreevaluatedChecks {
         } else {
             Vec::new()
         };
-        let anti_verdicts = crate::parallel::par_map_scoped(
+        let anti_verdicts = parallel::par_map_scoped(
             &anti_need,
             2,
             || parts.context(),

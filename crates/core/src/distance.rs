@@ -18,13 +18,11 @@
 //! `{{rcp,ckc,ckt}, {acc}, {rej}, {prio,inf,arv}}` scores exactly
 //! `37/12 ≈ 3.08`, matching Figure 7 (see this module's tests).
 
-use gecco_eventlog::{instances, ClassSet, EvalContext, EventLog, GroupInstance, Segmenter, Trace};
+use gecco_eventlog::{
+    instances, parallel, ClassSet, EvalContext, EventLog, GroupInstance, Segmenter, Trace,
+};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-
-/// Traces below this count are scored serially even when parallelism is on;
-/// thread fan-out costs more than it saves on small logs.
-const MIN_PARALLEL_TRACES: usize = 64;
 
 /// Computes `dist(g, L)` (Eq. 1) through the context's index: only traces
 /// containing at least one class of the group are visited at all.
@@ -32,41 +30,12 @@ const MIN_PARALLEL_TRACES: usize = 64;
 /// Returns `f64::INFINITY` for groups with no instance in the log — such
 /// groups can never contribute to an abstraction.
 ///
-/// With the `rayon` feature enabled (and [`crate::parallel::set_parallel`]
-/// not turned off), the per-trace accumulation fans out over all cores,
-/// each worker scoring its chunk of the relevant traces with a private
-/// context. Serial and parallel results are bit-identical: both sum one
-/// subtotal per relevant trace, in trace order, exactly like the
-/// [`group_distance_scan`] oracle.
+/// One serial walk over the group's postings merge, accumulating a
+/// per-trace subtotal so the floating-point summation order matches the
+/// [`group_distance_scan`] oracle exactly. Parallelism lives one level up,
+/// over candidates ([`DistanceOracle::prime`]).
 pub fn group_distance(ctx: &EvalContext<'_>, group: &ClassSet, segmenter: Segmenter) -> f64 {
     debug_assert!(!group.is_empty(), "distance of the empty group is undefined");
-    if crate::parallel::parallel_active() {
-        let trace_ids = ctx.index().group_traces(group);
-        if trace_ids.len() >= MIN_PARALLEL_TRACES {
-            let parts = ctx.parts();
-            let subtotals = crate::parallel::par_map_scoped(
-                &trace_ids,
-                MIN_PARALLEL_TRACES,
-                || parts.context(),
-                |worker_ctx, &ti| trace_contribution_indexed(worker_ctx, ti, group, segmenter),
-            );
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for (sub, n) in subtotals {
-                total += sub;
-                count += n;
-            }
-            return if count == 0 { f64::INFINITY } else { total / count as f64 };
-        }
-    }
-    group_distance_serial(ctx, group, segmenter)
-}
-
-/// The strictly serial indexed scoring loop, used directly by parallel
-/// workers (which must not fan out again). Streams through one postings
-/// merge, accumulating a per-trace subtotal so the floating-point
-/// summation order matches the scan oracle (and the parallel path) exactly.
-fn group_distance_serial(ctx: &EvalContext<'_>, group: &ClassSet, segmenter: Segmenter) -> f64 {
     let group_size = group.len();
     let mut total = 0.0;
     let mut count = 0usize;
@@ -116,24 +85,6 @@ pub fn group_distance_scan(log: &EventLog, group: &ClassSet, segmenter: Segmente
     } else {
         total / count as f64
     }
-}
-
-/// One trace's summands of Eq. 1 via the index:
-/// `(Σ per-instance terms, #instances)`.
-fn trace_contribution_indexed(
-    ctx: &EvalContext<'_>,
-    ti: u32,
-    group: &ClassSet,
-    segmenter: Segmenter,
-) -> (f64, usize) {
-    let group_size = group.len();
-    let mut sub = 0.0;
-    let mut n = 0usize;
-    for inst in ctx.instances_in(ti as usize, group, segmenter) {
-        sub += instance_terms(&inst, group_size);
-        n += 1;
-    }
-    (sub, n)
 }
 
 /// One trace's summands of Eq. 1 via the scan (oracle path).
@@ -202,12 +153,12 @@ impl<'a> DistanceOracle<'a> {
     /// ones in parallel (one worker per chunk of candidates, each with its
     /// own private context).
     ///
-    /// A no-op when parallelism is off — lazy evaluation in [`Self::distance`]
-    /// is then strictly better. Each parallel worker scores its candidates
-    /// with the serial per-trace loop, so cached values are bit-identical to
-    /// what [`Self::distance`] would have computed.
+    /// A no-op when only one worker is available — lazy evaluation in
+    /// [`Self::distance`] is then strictly better. Each worker scores its
+    /// candidates with [`group_distance`], so cached values are
+    /// bit-identical to what [`Self::distance`] would have computed.
     pub fn prime(&self, groups: impl Iterator<Item = ClassSet>) {
-        if !crate::parallel::parallel_enabled() {
+        if parallel::worker_count() <= 1 {
             return;
         }
         let missing: Vec<ClassSet> = {
@@ -220,11 +171,11 @@ impl<'a> DistanceOracle<'a> {
         }
         let segmenter = self.segmenter;
         let parts = self.ctx.parts();
-        let distances = crate::parallel::par_map_scoped(
+        let distances = parallel::par_map_scoped(
             &missing,
             2,
             || parts.context(),
-            |worker_ctx, g| group_distance_serial(worker_ctx, g, segmenter),
+            |worker_ctx, g| group_distance(worker_ctx, g, segmenter),
         );
         let mut cache = self.cache.borrow_mut();
         for (g, d) in missing.into_iter().zip(distances) {

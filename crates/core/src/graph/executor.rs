@@ -7,9 +7,9 @@
 //! arity, edge/port kind compatibility), then runs it in *waves*: each wave
 //! is the set of unfinished nodes whose upstream nodes have all finished,
 //! taken in ascending node-id order. The nodes of a wave are independent by
-//! construction, so they run via [`crate::parallel::par_map`] — in parallel
-//! under the `rayon` feature, serial otherwise — and their outputs are
-//! committed in node-id order. Input artifacts are resolved in
+//! construction, so they run via [`gecco_eventlog::parallel::par_map`] —
+//! in parallel under the `rayon` feature, serial otherwise — and their
+//! outputs are committed in node-id order. Input artifacts are resolved in
 //! edge-insertion order before the wave starts. Every source of
 //! nondeterminism is thereby pinned: a parallel run is **bit-identical** to
 //! a serial run of the same graph (asserted by the `graph_equivalence`
@@ -314,7 +314,7 @@ impl<'a> PipelineGraph<'a> {
             }
             // Run the wave's independent nodes — in parallel under the
             // `rayon` feature — and commit outputs in node-id order.
-            let results = crate::parallel::par_map(&jobs, 2, |(i, inputs)| {
+            let results = gecco_eventlog::parallel::par_map(&jobs, 2, |(i, inputs)| {
                 // gecco-lint: allow(ambient-nondet) — per-node timing for observability;
                 // outputs are committed in node-id order regardless of when nodes finish
                 let start = Instant::now();

@@ -27,7 +27,6 @@ pub mod candidates;
 pub mod distance;
 pub mod graph;
 pub mod grouping;
-pub mod parallel;
 pub mod pipeline;
 pub mod selection;
 
@@ -35,9 +34,9 @@ pub use abstraction::AbstractionStrategy;
 pub use candidates::session::{SessionBoundary, SessionConfig};
 pub use candidates::{BeamWidth, Budget, CandidateSet, CandidateStats, CandidateStrategy};
 pub use distance::{group_distance, group_distance_scan, grouping_distance, DistanceOracle};
+pub use gecco_eventlog::{parallel_enabled, set_parallel};
 pub use gecco_solver::MasterEngine;
 pub use grouping::Grouping;
-pub use parallel::{parallel_enabled, set_parallel};
 pub use pipeline::{
     run_fanout, run_multipass, run_multipass_linear, AbstractionResult, BranchOutcome, Gecco,
     GeccoError, InfeasibilityReport, MultiPassResult, Outcome, PassReport,

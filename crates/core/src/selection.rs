@@ -17,8 +17,8 @@
 
 use crate::distance::DistanceOracle;
 use crate::grouping::{occurring_classes, Grouping};
-use crate::parallel::par_map;
 use gecco_constraints::{CheckingMode, CompiledConstraintSet};
+use gecco_eventlog::parallel::par_map;
 use gecco_eventlog::{ClassCoOccurrence, ClassId, ClassSet, EventLog};
 use gecco_solver::{
     presolve, solve_column_generation, ColGenOptions, ColGenStats, ColumnSource, DualPrices,
@@ -73,9 +73,6 @@ pub struct SelectionOptions {
     /// incremental revised simplex; the dense tableau rebuild is the
     /// differential oracle).
     pub colgen_master: MasterEngine,
-    /// Wentges dual smoothing on the column-generation route (default on;
-    /// `false` reproduces the unsmoothed pricing trajectory).
-    pub colgen_smoothing: bool,
 }
 
 impl Default for SelectionOptions {
@@ -87,7 +84,6 @@ impl Default for SelectionOptions {
             column_generation: ColGenMode::default(),
             auto_colgen_budget: 50_000,
             colgen_master: MasterEngine::default(),
-            colgen_smoothing: true,
         }
     }
 }
@@ -512,7 +508,6 @@ pub fn select_optimal_colgen(
         engine: options.engine,
         max_nodes: options.max_nodes,
         master: options.colgen_master,
-        smoothing: options.colgen_smoothing,
         ..ColGenOptions::default()
     };
     // No warm start: initial columns would have to be checked candidates,
@@ -834,8 +829,8 @@ mod tests {
 
     #[test]
     fn colgen_master_engines_return_identical_selections() {
-        // The dense tableau oracle and the revised master — smoothed and
-        // unsmoothed — must produce the *same* Selection, bit for bit.
+        // The dense tableau oracle and the revised master must produce
+        // the *same* Selection, bit for bit.
         let log = running_example();
         let index = gecco_eventlog::LogIndex::build(&log);
         let ctx = gecco_eventlog::EvalContext::new(&log, &index);
@@ -844,15 +839,11 @@ mod tests {
             let compiled = compile(&log, dsl);
             let mut selections = Vec::new();
             for colgen_master in [MasterEngine::Revised, MasterEngine::Dense] {
-                for colgen_smoothing in [true, false] {
-                    let options =
-                        SelectionOptions { colgen_master, colgen_smoothing, ..Default::default() };
-                    let sel =
-                        select_optimal_colgen(&log, &compiled, &oracle, (None, None), options)
-                            .expect("feasible");
-                    assert!(sel.proven_optimal, "{colgen_master:?}/{colgen_smoothing}");
-                    selections.push((format!("{colgen_master:?}/{colgen_smoothing}"), sel));
-                }
+                let options = SelectionOptions { colgen_master, ..Default::default() };
+                let sel = select_optimal_colgen(&log, &compiled, &oracle, (None, None), options)
+                    .expect("feasible");
+                assert!(sel.proven_optimal, "{colgen_master:?}");
+                selections.push((format!("{colgen_master:?}"), sel));
             }
             let (ref base_label, ref base) = selections[0];
             for (label, sel) in &selections[1..] {

@@ -247,10 +247,9 @@ proptest! {
         }
     }
 
-    /// The revised-simplex master (warm-started, smoothed or not) against
-    /// the dense tableau oracle, end to end: all four (master × smoothing)
-    /// routes must return the *same* `Selection` — same grouping, same
-    /// canonical distance, bit for bit. Pricing trajectories and restricted
+    /// The warm-started revised-simplex master against the dense tableau
+    /// oracle, end to end: both routes must return the *same* `Selection`
+    /// — same grouping, same canonical distance, bit for bit. Pricing trajectories and restricted
     /// pools may differ, but the implicit pool and its optimum do not.
     #[test]
     fn colgen_master_routes_return_identical_selections(instance in arb_selection_instance()) {
@@ -261,15 +260,9 @@ proptest! {
         let compiled = compile(&log, sized);
         let mut runs: Vec<(String, Option<gecco_core::Selection>)> = Vec::new();
         for colgen_master in [MasterEngine::Revised, MasterEngine::Dense] {
-            for colgen_smoothing in [true, false] {
-                let opts = SelectionOptions {
-                    colgen_master,
-                    colgen_smoothing,
-                    ..Default::default()
-                };
-                let sel = select_optimal_colgen(&log, &compiled, &oracle, (min, max), opts);
-                runs.push((format!("{colgen_master:?}/smoothing={colgen_smoothing}"), sel));
-            }
+            let opts = SelectionOptions { colgen_master, ..Default::default() };
+            let sel = select_optimal_colgen(&log, &compiled, &oracle, (min, max), opts);
+            runs.push((format!("{colgen_master:?}"), sel));
         }
         let (base_label, base) = &runs[0];
         for (label, sel) in &runs[1..] {

@@ -304,25 +304,11 @@ impl LogIndex {
         Ok(())
     }
 
-    /// Ascending ids of the traces containing at least one class of
-    /// `group` — the traces the scan path would not skip.
-    pub fn group_traces(&self, group: &ClassSet) -> Vec<u32> {
-        let classes: Vec<ClassId> = group.iter().filter(|c| !self.runs(*c).is_empty()).collect();
-        let mut cursors = vec![0u32; classes.len()];
-        let mut out = Vec::new();
-        while let Some(trace) = self.next_merged_trace(&classes, &mut cursors, |_, _| {}) {
-            out.push(trace);
-        }
-        out
-    }
-
-    /// One step of the k-way trace merge shared by [`Self::group_traces`]
-    /// and [`EvalContext::visit_instances`]: finds the smallest trace id
-    /// under the cursors (cursor `i` indexes class `i`'s run list),
-    /// advances every cursor sitting on that trace, and reports each
-    /// advanced run. `None` once all cursors are exhausted. One
-    /// implementation keeps the two callers' traversal orders identical by
-    /// construction.
+    /// One step of the k-way trace merge behind
+    /// [`EvalContext::visit_instances`]: finds the smallest trace id under
+    /// the cursors (cursor `i` indexes class `i`'s run list), advances
+    /// every cursor sitting on that trace, and reports each advanced run.
+    /// `None` once all cursors are exhausted.
     fn next_merged_trace(
         &self,
         classes: &[ClassId],
@@ -1024,15 +1010,6 @@ mod tests {
         let new = log_from(&[&["a", "b"]]);
         let index = LogIndex::build(&old);
         let _ = EvalContext::new(&new, &index);
-    }
-
-    #[test]
-    fn group_traces_skips_foreign_traces() {
-        let log = log_from(&[&["a"], &["x"], &["b", "a"], &["x", "y"], &["b"]]);
-        let index = LogIndex::build(&log);
-        let g = group(&log, &["a", "b"]);
-        assert_eq!(index.group_traces(&g), vec![0, 2, 4]);
-        assert_eq!(index.group_traces(&ClassSet::EMPTY), Vec::<u32>::new());
     }
 
     #[test]

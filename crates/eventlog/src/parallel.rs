@@ -1,30 +1,39 @@
-//! Opt-in parallel execution of the ingestion hot paths.
+//! The workspace's one parallel seam: an opt-in, order-preserving fan-out.
 //!
 //! Built with the `rayon` cargo feature, the per-chunk stages of the XES
-//! and CSV importers — trace-chunk parsing and CSV row sniffing — fan out
-//! over all cores. Without the feature every function here degenerates to
-//! its serial form and [`set_parallel`] is a no-op, so callers never need
-//! `cfg` guards. This mirrors `gecco_core::parallel`, which owns the same
-//! toggle for the candidate-generation hot path; the two toggles are
-//! independent so benchmarks can A/B one stage at a time.
+//! and CSV importers (trace-chunk parsing, CSV row sniffing) and the
+//! per-candidate stages of `gecco-core` (constraint checks, distance
+//! scoring, DFG boundary sets, selection components, graph waves) fan out
+//! over the worker threads. Without the feature every function here
+//! degenerates to its serial form and [`set_parallel`] is a no-op, so
+//! callers never need `cfg` guards. Every fan-out asks one question,
+//! [`worker_count`]` > 1`, so at one thread no caller does parallel-shaped
+//! work (chunking, per-worker state) that only costs time.
 //!
-//! Parallel ingestion is **bit-identical** to serial ingestion: chunks are
-//! parsed into fragments with thread-local interners and merged in document
-//! order, so symbol and class-id assignment never depends on the worker
-//! count (asserted by `tests/ingest_equivalence.rs`).
+//! Parallel runs are **bit-identical** to serial runs: work is split into
+//! ordered chunks and reassembled in input order. Ingestion merges chunk
+//! fragments in document order, so symbol and class-id assignment never
+//! depends on the worker count (`tests/ingest_equivalence.rs`); the
+//! candidate stages replay their bookkeeping serially against
+//! pre-evaluated results (`gecco-core`'s `tests/parallel_equivalence.rs`).
+//!
+//! Parallelism defaults to **on** when the feature is compiled in; flip it
+//! at runtime with [`set_parallel`] (process-wide, e.g. for A/B
+//! benchmarking). The worker count follows the `RAYON_NUM_THREADS`
+//! environment variable, falling back to the number of available cores.
 
-// gecco-lint: allow-file(unordered-par) — this module IS the ingestion-side order-preserving
-// seam: chunk results are merged in document order, proven bit-identical to serial ingestion
-// by the xes/csv equivalence tests
+// gecco-lint: allow-file(unordered-par) — this module IS the order-preserving seam: work is
+// split into ordered chunks and reassembled in input order, proven bit-identical to serial
+// execution by the ingestion and candidate equivalence suites
 #[cfg(feature = "rayon")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 #[cfg(feature = "rayon")]
 static PARALLEL: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables parallel ingestion process-wide.
+/// Enables or disables parallel execution process-wide.
 ///
-/// Without the `rayon` feature this is a no-op and ingestion is always
+/// Without the `rayon` feature this is a no-op and execution is always
 /// serial. Results are identical either way; only wall-clock time changes.
 pub fn set_parallel(enabled: bool) {
     #[cfg(feature = "rayon")]
@@ -33,7 +42,7 @@ pub fn set_parallel(enabled: bool) {
     let _ = enabled;
 }
 
-/// Whether parallel ingestion is compiled in *and* currently enabled.
+/// Whether parallel execution is compiled in *and* currently enabled.
 pub fn parallel_enabled() -> bool {
     #[cfg(feature = "rayon")]
     {
@@ -47,7 +56,7 @@ pub fn parallel_enabled() -> bool {
 
 /// Number of workers a parallel fan-out would use right now (1 when
 /// parallelism is compiled out, disabled, or the machine has one core).
-pub(crate) fn worker_count() -> usize {
+pub fn worker_count() -> usize {
     #[cfg(feature = "rayon")]
     {
         if parallel_enabled() {
@@ -62,9 +71,10 @@ pub(crate) fn worker_count() -> usize {
     }
 }
 
-/// Maps `f` over `items`, in parallel when enabled and there are at least
-/// `min_items` of them; output order always matches input order.
-pub(crate) fn par_map<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
+/// Maps `f` over `items`, in parallel when more than one worker is
+/// available and there are at least `min_items` of them; output order
+/// always matches input order.
+pub fn par_map<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -73,12 +83,49 @@ where
     #[cfg(feature = "rayon")]
     {
         use rayon::prelude::*;
-        if parallel_enabled() && items.len() >= min_items && rayon::current_num_threads() > 1 {
+        if items.len() >= min_items && worker_count() > 1 {
             return items.par_iter().map(f).collect();
         }
     }
     let _ = min_items;
     items.iter().map(f).collect()
+}
+
+/// Maps `f` over `items` with per-worker state: every worker (one
+/// contiguous chunk of the input) builds its own `S` via `init` and threads
+/// it through its chunk. Output order always matches input order.
+///
+/// This is how the chunk workers get a private
+/// [`EvalContext`](crate::EvalContext) — the context's scratch buffers are
+/// not `Sync`, so each worker rebuilds one from the shared
+/// [`ContextParts`](crate::ContextParts) and reuses it across its whole
+/// chunk.
+pub fn par_map_scoped<T, R, S, I, F>(items: &[T], min_items: usize, init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
+    #[cfg(feature = "rayon")]
+    {
+        use rayon::prelude::*;
+        let workers = worker_count();
+        if items.len() >= min_items && workers > 1 {
+            let chunk_size = items.len().div_ceil(workers);
+            let per_chunk: Vec<Vec<R>> = items
+                .par_chunks(chunk_size)
+                .map(|chunk| {
+                    let mut state = init();
+                    chunk.iter().map(|item| f(&mut state, item)).collect()
+                })
+                .collect();
+            return per_chunk.into_iter().flatten().collect();
+        }
+    }
+    let _ = min_items;
+    let mut state = init();
+    items.iter().map(|item| f(&mut state, item)).collect()
 }
 
 #[cfg(test)]
@@ -90,6 +137,16 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let out = par_map(&items, 1, |&x| x * 3);
         assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_scoped_matches_serial_map() {
+        let items: Vec<u32> = (0..200).collect();
+        let out = par_map_scoped(&items, 1, Vec::<u32>::new, |scratch, &x| {
+            scratch.push(x); // reused within a worker's chunk
+            x * 2
+        });
+        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

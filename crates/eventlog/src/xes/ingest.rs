@@ -26,8 +26,8 @@ use crate::xes::stream::{OwnedSegment, StreamItem, StreamScanner, DEFAULT_READ_C
 use crate::EventLog;
 use std::collections::BTreeMap;
 use std::io::Read;
-use std::sync::mpsc::sync_channel;
-use std::sync::Mutex;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 
 /// Where streamed batches end up. Everything funnels into one
 /// [`LogBuilder`] — that is what keeps symbol numbering and class-id
@@ -194,10 +194,13 @@ fn ingest_parallel<R: Read + Send, S: BatchSink>(
     let batch_traces = options.batch_traces.max(1);
     let (work_tx, work_rx) = sync_channel::<(u64, Work)>(queue_depth);
     let (done_tx, done_rx) = sync_channel::<(u64, Result<Parsed>)>(queue_depth);
-    let work_rx = Mutex::new(work_rx);
+    // The workers own the only handles to the work queue, and the consumer
+    // owns the only handle to the result queue. When the consumer returns
+    // early (an error), dropping `done_rx` fails every worker's next send;
+    // the last worker to exit drops the work queue, which fails the
+    // producer's next send. Every thread then exits and the scope joins.
+    let work_rx = Arc::new(Mutex::new(work_rx));
     std::thread::scope(|scope| {
-        let work_rx = &work_rx;
-
         // Producer: scan the source, batch traces, tag with seq numbers.
         // A send error means the consumer bailed out — just stop.
         let read_chunk = options.read_chunk;
@@ -247,6 +250,7 @@ fn ingest_parallel<R: Read + Send, S: BatchSink>(
         // Workers: parse batches into fragments; forward everything else.
         for _ in 0..workers {
             let done_tx = done_tx.clone();
+            let work_rx = Arc::clone(&work_rx);
             scope.spawn(move || loop {
                 let next = work_rx.lock().expect("ingest worker poisoned").recv();
                 let Ok((seq, work)) = next else { return };
@@ -261,24 +265,29 @@ fn ingest_parallel<R: Read + Send, S: BatchSink>(
             });
         }
         drop(done_tx);
+        drop(work_rx);
+        consume(done_rx, sink)
+    })
+}
 
-        // Consumer (this thread): apply results strictly in document
-        // order, stashing out-of-order arrivals.
-        let mut next_seq = 0u64;
-        let mut stash: BTreeMap<u64, Result<Parsed>> = BTreeMap::new();
-        while let Ok((seq, parsed)) = done_rx.recv() {
-            stash.insert(seq, parsed);
-            while let Some(parsed) = stash.remove(&next_seq) {
-                next_seq += 1;
-                match parsed? {
-                    Parsed::Log(seg) => apply_log_segment(sink, &seg)?,
-                    Parsed::Fragment(fragment) => merge_batch(sink, fragment)?,
-                }
+/// The consumer: applies results strictly in document order, stashing
+/// out-of-order arrivals. Owns `done_rx`, so any return, the early ones
+/// on an error included, closes the result queue.
+fn consume<S: BatchSink>(done_rx: Receiver<(u64, Result<Parsed>)>, sink: &mut S) -> Result<()> {
+    let mut next_seq = 0u64;
+    let mut stash: BTreeMap<u64, Result<Parsed>> = BTreeMap::new();
+    while let Ok((seq, parsed)) = done_rx.recv() {
+        stash.insert(seq, parsed);
+        while let Some(parsed) = stash.remove(&next_seq) {
+            next_seq += 1;
+            match parsed? {
+                Parsed::Log(seg) => apply_log_segment(sink, &seg)?,
+                Parsed::Fragment(fragment) => merge_batch(sink, fragment)?,
             }
         }
-        debug_assert!(stash.is_empty(), "gap in ingest sequence numbers");
-        Ok(())
-    })
+    }
+    debug_assert!(stash.is_empty(), "gap in ingest sequence numbers");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! enforced *dynamically* by differential tests. This crate enforces the
 //! underlying coding discipline *statically*, at CI time: no hash-order
 //! iteration in result paths, no rayon outside the order-preserving
-//! seams, no silent integer truncation in binary formats, no ambient
+//! seam, no silent integer truncation in binary formats, no ambient
 //! clock/entropy in result code, no float accumulation over unordered
 //! iterators.
 //!

@@ -32,7 +32,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "unordered-par",
-        summary: "raw rayon use bypassing the order-preserving par_map seams",
+        summary: "raw rayon use bypassing the order-preserving par_map seam",
     },
     RuleInfo {
         name: "lossy-cast",

@@ -1,16 +1,16 @@
-//! `unordered-par`: raw rayon that bypasses the order-preserving seams.
+//! `unordered-par`: raw rayon that bypasses the order-preserving seam.
 //!
 //! Every parallel path in this workspace must be bit-identical to its
-//! serial form. The only approved way in is the pair of seams
-//! (`gecco_core::parallel::par_map`/`par_map_scoped` and
-//! `gecco_eventlog::parallel::par_map`) plus the sequenced-consumer
-//! pattern in streaming ingestion: ordered chunks in, results combined
-//! in the exact serial order. Direct rayon combinators (`par_iter` +
-//! `reduce`/`fold`/`for_each`, `rayon::spawn`, `rayon::scope`) have no
-//! such guarantee — reduction trees and work-stealing order are
-//! scheduler-dependent. The seam modules themselves carry `allow-file`
-//! waivers: they are where the ordering proof lives (see
-//! `tests/parallel_equivalence.rs`).
+//! serial form. The only approved way in is the one seam
+//! (`gecco_eventlog::parallel::par_map`/`par_map_scoped`) plus the
+//! sequenced-consumer pattern in streaming ingestion: ordered chunks in,
+//! results combined in the exact serial order. Direct rayon combinators
+//! (`par_iter` + `reduce`/`fold`/`for_each`, `rayon::spawn`,
+//! `rayon::scope`) have no such guarantee — reduction trees and
+//! work-stealing order are scheduler-dependent. The seam module itself
+//! carries an `allow-file` waiver: it is where the ordering proof lives
+//! (see `gecco-core`'s `tests/parallel_equivalence.rs` and
+//! `gecco-eventlog`'s `tests/ingest_equivalence.rs`).
 
 use super::FileCx;
 use crate::diag::{Finding, Severity};
@@ -57,11 +57,11 @@ pub(super) fn check(cx: &FileCx<'_>, findings: &mut Vec<Finding>) {
                 line: toks[i].line,
                 col: toks[i].col,
                 message: format!(
-                    "raw rayon (`{}`) bypasses the order-preserving parallel seams",
+                    "raw rayon (`{}`) bypasses the order-preserving parallel seam",
                     toks[i].text
                 ),
-                note: "route through gecco_core::parallel::par_map/par_map_scoped (or the \
-                       eventlog seam); parallel must stay bit-identical to serial",
+                note: "route through gecco_eventlog::parallel::par_map/par_map_scoped; \
+                       parallel must stay bit-identical to serial",
                 severity: Severity::Warning,
                 waived: false,
             });

@@ -21,12 +21,8 @@
 //!    and returns columns whose reduced cost
 //!    `c_S − Σ_{e∈S} y_e − y_card` lies below a threshold. An empty reply
 //!    is a *proof* that no such column exists; that contract is what makes
-//!    the loop exact. To damp the dual oscillation that plagues degenerate
-//!    masters, pricing first runs against Wentges-smoothed duals
-//!    `ỹ = α·ŷ + (1−α)·y` (a convex combination with a stability center
-//!    `ŷ`); a smoothed pass that yields nothing (a *misprice*) falls back
-//!    to the true duals in the same round, so LP convergence is still
-//!    certified by an exact reply and smoothing never costs exactness.
+//!    the loop exact. Pricing always runs against the true duals of the
+//!    latest master solve.
 //! 3. **Restricted IP** — once the LP prices out (no column below `−ε`),
 //!    the existing presolve → decompose → branch-and-bound pipeline solves
 //!    the integer program over the restricted pool.
@@ -175,13 +171,6 @@ pub struct ColGenOptions {
     pub eps: f64,
     /// Engine for the restricted master LP solves.
     pub master: MasterEngine,
-    /// Wentges dual smoothing: price against `ỹ = α·ŷ + (1−α)·y` first
-    /// and fall back to the true duals `y` on a misprice. On by default;
-    /// `false` reproduces the unsmoothed trajectory exactly.
-    pub smoothing: bool,
-    /// Smoothing weight `α ∈ [0, 1)` on the stability center (`0.0`
-    /// degenerates to unsmoothed pricing).
-    pub smoothing_alpha: f64,
 }
 
 impl Default for ColGenOptions {
@@ -194,8 +183,6 @@ impl Default for ColGenOptions {
             pricing_batch: 256,
             eps: 1e-7,
             master: MasterEngine::default(),
-            smoothing: true,
-            smoothing_alpha: 0.5,
         }
     }
 }
@@ -222,8 +209,8 @@ pub struct ColGenStats {
     /// Master solves whose optimum still carried artificial mass — rounds
     /// where the restricted pool could not yet form a fractional cover.
     pub artificial_rounds: usize,
-    /// Smoothed pricing passes that returned nothing and fell back to the
-    /// true duals (Wentges mispricing events).
+    /// Always 0: pricing runs on the true duals only, so no pass can
+    /// misprice. Kept so existing readers of the counter still compile.
     pub mispricings: usize,
 }
 
@@ -365,39 +352,6 @@ impl MasterState {
 /// Artificial mass above this means the restricted LP is not yet covering.
 const ART_EPS: f64 = 1e-6;
 
-/// Wentges smoothing state: a stability center `ŷ` blended into the raw
-/// duals before pricing.
-struct DualSmoother {
-    alpha: f64,
-    center: Option<Vec<f64>>,
-}
-
-impl DualSmoother {
-    fn new(alpha: f64) -> DualSmoother {
-        DualSmoother { alpha: alpha.clamp(0.0, 1.0 - 1e-9), center: None }
-    }
-
-    /// `ỹ = α·ŷ + (1−α)·y`; the first call seeds the center with `y`
-    /// itself (no history to smooth against).
-    fn smooth(&mut self, duals: &[f64]) -> Vec<f64> {
-        match &self.center {
-            Some(center) if center.len() == duals.len() => center
-                .iter()
-                .zip(duals)
-                .map(|(s, y)| self.alpha * s + (1.0 - self.alpha) * y)
-                .collect(),
-            _ => {
-                self.center = Some(duals.to_vec());
-                duals.to_vec()
-            }
-        }
-    }
-
-    fn set_center(&mut self, center: Vec<f64>) {
-        self.center = Some(center);
-    }
-}
-
 /// Solves a set-partitioning instance by column generation over the
 /// implicit pool behind `source`, starting from the `initial` columns
 /// (typically a cheap feasible or near-feasible warm set — singletons, a
@@ -446,7 +400,6 @@ pub fn solve_column_generation(
         }
         master.apply(&pool, change);
     }
-    let mut smoother = options.smoothing.then(|| DualSmoother::new(options.smoothing_alpha));
 
     let mut rounds_left = options.max_rounds;
     let mut incumbent: Option<SetPartitionSolution> = None;
@@ -460,41 +413,13 @@ pub fn solve_column_generation(
             if rounds_left == 0 {
                 break (duals, z_lp, art_usage, true);
             }
+            rounds_left -= 1;
+            stats.pricing_calls += 1;
             let request =
                 PricingRequest { threshold: -options.eps, max_columns: options.pricing_batch };
-            // Smoothed pass first (when it actually differs): a hit keeps
-            // the loop moving and the blend becomes the new center; a miss
-            // is a Wentges misprice — reset the center to the true duals
-            // and let the exact pass below decide.
-            let mut outcome: Option<bool> = None;
-            if let Some(sm) = smoother.as_mut() {
-                let smoothed = sm.smooth(&duals);
-                if smoothed != duals {
-                    rounds_left -= 1;
-                    stats.pricing_calls += 1;
-                    let per_set: f64 = smoothed[num_elements..].iter().sum();
-                    let prices = DualPrices { element: &smoothed[..num_elements], per_set };
-                    if price_into(&mut pool, &mut master, source, &prices, &request, &mut stats) {
-                        sm.set_center(smoothed);
-                        outcome = Some(true);
-                    } else {
-                        stats.mispricings += 1;
-                        sm.set_center(duals.clone());
-                    }
-                }
-            }
-            if outcome.is_none() {
-                if rounds_left == 0 {
-                    break (duals, z_lp, art_usage, true);
-                }
-                rounds_left -= 1;
-                stats.pricing_calls += 1;
-                let per_set: f64 = duals[num_elements..].iter().sum();
-                let prices = DualPrices { element: &duals[..num_elements], per_set };
-                outcome =
-                    Some(price_into(&mut pool, &mut master, source, &prices, &request, &mut stats));
-            }
-            if outcome != Some(true) {
+            let per_set: f64 = duals[num_elements..].iter().sum();
+            let prices = DualPrices { element: &duals[..num_elements], per_set };
+            if !price_into(&mut pool, &mut master, source, &prices, &request, &mut stats) {
                 break (duals, z_lp, art_usage, false);
             }
         };
@@ -576,8 +501,6 @@ pub fn solve_column_generation(
                 // Any cover cheaper than the incumbent is built entirely
                 // from columns pricing below the gap (all reduced costs
                 // are ≥ −eps after convergence and they sum to < gap).
-                // Gap closing always prices with the *true* duals — the
-                // optimality certificate cannot rest on a smoothed vector.
                 rounds_left -= 1;
                 stats.pricing_calls += 1;
                 let request = PricingRequest {
@@ -927,6 +850,7 @@ mod tests {
         assert!(s.stats.lp_bound.is_finite());
         assert!(s.stats.lp_bound <= s.cost + 1e-9);
         assert!(s.stats.master_pivots >= 1, "{:?}", s.stats);
+        assert_eq!(s.stats.mispricings, 0, "{:?}", s.stats);
     }
 
     fn colgen_with(
@@ -945,10 +869,10 @@ mod tests {
     /// A borrowed test pool: element count plus `(members, cost)` columns.
     type PoolSpec<'a> = (usize, &'a [(&'a [usize], f64)]);
 
-    /// Every (master engine × smoothing) combination returns the same
-    /// cost on the same instance — the four routes are interchangeable.
+    /// Both master engines return the same cost on the same instance —
+    /// the two routes are interchangeable.
     #[test]
-    fn engines_and_smoothing_agree_on_cost() {
+    fn master_engines_agree_on_cost() {
         let pools: &[PoolSpec<'_>] = &[
             (3, &[(&[0], 1.0), (&[1], 1.0), (&[0, 1], 0.5), (&[0, 1, 2], 9.0), (&[2], 0.3)]),
             (
@@ -968,13 +892,11 @@ mod tests {
         for &(n, pool) in pools {
             let mut costs = Vec::new();
             for master in [MasterEngine::Revised, MasterEngine::Dense] {
-                for smoothing in [true, false] {
-                    let options = ColGenOptions { master, smoothing, ..ColGenOptions::default() };
-                    let s = colgen_with(n, (None, None), pool, 1, &options)
-                        .unwrap_or_else(|| panic!("{master:?}/{smoothing} found nothing"));
-                    assert!(s.proven_optimal, "{master:?}/{smoothing}: {s:?}");
-                    costs.push(s.cost);
-                }
+                let options = ColGenOptions { master, ..ColGenOptions::default() };
+                let s = colgen_with(n, (None, None), pool, 1, &options)
+                    .unwrap_or_else(|| panic!("{master:?} found nothing"));
+                assert!(s.proven_optimal, "{master:?}: {s:?}");
+                costs.push(s.cost);
             }
             for w in costs.windows(2) {
                 assert!((w[0] - w[1]).abs() < 1e-9, "route costs diverge: {costs:?}");
@@ -1015,20 +937,5 @@ mod tests {
             assert!(s.stats.artificial_rounds >= 1, "{master:?}: {:?}", s.stats);
             assert!(s.stats.lp_bound.is_finite(), "{master:?}: {:?}", s.stats);
         }
-    }
-
-    /// α = 0 degenerates smoothing to the exact duals: identical stats to
-    /// the unsmoothed run (no misprice can ever occur because the blend
-    /// equals the true vector and the smoothed pass is skipped).
-    #[test]
-    fn zero_alpha_smoothing_is_inert() {
-        let pool: &[(&[usize], f64)] =
-            &[(&[0], 1.0), (&[1], 1.0), (&[0, 1], 0.5), (&[0, 1, 2], 9.0), (&[2], 0.3)];
-        let smoothed = ColGenOptions { smoothing_alpha: 0.0, ..ColGenOptions::default() };
-        let plain = ColGenOptions { smoothing: false, ..ColGenOptions::default() };
-        let a = colgen_with(3, (None, None), pool, 2, &smoothed).unwrap();
-        let b = colgen_with(3, (None, None), pool, 2, &plain).unwrap();
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.columns, b.columns);
     }
 }

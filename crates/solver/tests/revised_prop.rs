@@ -8,8 +8,8 @@
 //!   verdict, same objective, and the revised duals must independently
 //!   certify optimality (primal feasibility + strong duality + dual
 //!   feasibility), so agreement can never be two engines sharing a bug.
-//! * **Column generation** — all four (master engine × smoothing) routes
-//!   of [`solve_column_generation`] on random set-partitioning instances:
+//! * **Column generation** — both master engines of
+//!   [`solve_column_generation`] on random set-partitioning instances:
 //!   same feasibility verdict, same optimal cost, and every returned
 //!   selection is an exact cover. Pricing trajectories legitimately
 //!   differ (dual degeneracy), so the invariant is the optimum, not the
@@ -126,32 +126,30 @@ proptest! {
         let warm_cols: Vec<(Vec<usize>, f64)> = pool[..warm.min(pool.len())].to_vec();
         let mut outcomes: Vec<(String, Option<(f64, bool)>)> = Vec::new();
         for master in [MasterEngine::Revised, MasterEngine::Dense] {
-            for smoothing in [true, false] {
-                let options = ColGenOptions { master, smoothing, ..ColGenOptions::default() };
-                let mut source = EnumeratedColumnSource::new(pool.clone());
-                let s = solve_column_generation(
-                    n,
-                    (min_sets, max_sets),
-                    &warm_cols,
-                    &mut source,
-                    &options,
-                );
-                let label = format!("{master:?}/smoothing={smoothing}");
-                if let Some(s) = &s {
-                    prop_assert!(s.proven_optimal, "{}: budget cannot run out here: {:?}", label, s);
-                    // Exact cover within the declared bounds.
-                    let mut covered = vec![0usize; n];
-                    for (members, _) in &s.columns {
-                        for &e in members {
-                            covered[e] += 1;
-                        }
+            let options = ColGenOptions { master, ..ColGenOptions::default() };
+            let mut source = EnumeratedColumnSource::new(pool.clone());
+            let s = solve_column_generation(
+                n,
+                (min_sets, max_sets),
+                &warm_cols,
+                &mut source,
+                &options,
+            );
+            let label = format!("{master:?}");
+            if let Some(s) = &s {
+                prop_assert!(s.proven_optimal, "{}: budget cannot run out here: {:?}", label, s);
+                // Exact cover within the declared bounds.
+                let mut covered = vec![0usize; n];
+                for (members, _) in &s.columns {
+                    for &e in members {
+                        covered[e] += 1;
                     }
-                    prop_assert!(covered.iter().all(|&c| c == 1), "{}: not a cover: {:?}", label, s);
-                    prop_assert!(min_sets.is_none_or(|min| s.columns.len() >= min), "{}: {:?}", label, s);
-                    prop_assert!(max_sets.is_none_or(|max| s.columns.len() <= max), "{}: {:?}", label, s);
                 }
-                outcomes.push((label, s.map(|s| (s.cost, s.proven_optimal))));
+                prop_assert!(covered.iter().all(|&c| c == 1), "{}: not a cover: {:?}", label, s);
+                prop_assert!(min_sets.is_none_or(|min| s.columns.len() >= min), "{}: {:?}", label, s);
+                prop_assert!(max_sets.is_none_or(|max| s.columns.len() <= max), "{}: {:?}", label, s);
             }
+            outcomes.push((label, s.map(|s| (s.cost, s.proven_optimal))));
         }
         for pair in outcomes.windows(2) {
             match (&pair[0].1, &pair[1].1) {
