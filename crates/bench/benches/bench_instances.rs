@@ -1,10 +1,13 @@
 //! Instance segmentation (`inst`) and distance evaluation (Eq. 1) costs —
-//! the inner loop of candidate checking — scan vs indexed, plus Step-3
-//! index maintenance: incremental splice vs full rebuild.
+//! the inner loop of candidate checking — scan vs indexed, one group at a
+//! time vs one batched sweep over a candidate pool, plus Step-3 index
+//! maintenance: incremental splice vs full rebuild.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gecco_constraints::{CompiledConstraintSet, ConstraintSet};
 use gecco_core::abstraction::{abstract_log, activity_names, AbstractionStrategy};
-use gecco_core::{group_distance, group_distance_scan, Grouping};
+use gecco_core::candidates::dfg::{dfg_candidates, NoObserver};
+use gecco_core::{group_distance, group_distance_scan, group_distances, Budget, Grouping};
 use gecco_datagen::{evaluation_collection, loan_log, CollectionScale};
 use gecco_eventlog::{instances, ClassSet, EvalContext, LogIndex, Segmenter};
 use std::ops::ControlFlow;
@@ -41,6 +44,25 @@ fn bench_instances(c: &mut Criterion) {
     });
     g.bench_function("group_distance_indexed", |b| {
         b.iter(|| group_distance(&ctx, &group, Segmenter::RepeatSplit))
+    });
+    // One candidate pool (Algorithm 2 under `size(g) <= 4`) scored two
+    // ways: a postings walk per group, and one batched sweep over the log.
+    let constraints = CompiledConstraintSet::compile(
+        &ConstraintSet::parse("size(g) <= 4;").expect("fixed DSL parses"),
+        &log,
+    )
+    .expect("compiles on the loan log");
+    let pool = dfg_candidates(&ctx, &constraints, None, Budget::UNLIMITED, &mut NoObserver);
+    let pool = pool.groups();
+    g.bench_function(BenchmarkId::new("group_distances_batch", "one_at_a_time"), |b| {
+        b.iter(|| {
+            pool.iter()
+                .map(|group| group_distance(&ctx, group, Segmenter::RepeatSplit))
+                .collect::<Vec<_>>()
+        })
+    });
+    g.bench_function(BenchmarkId::new("group_distances_batch", "batch"), |b| {
+        b.iter(|| group_distances(&log, pool, Segmenter::RepeatSplit))
     });
     g.finish();
     bench_abstraction_index(c);

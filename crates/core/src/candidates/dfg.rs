@@ -61,7 +61,9 @@ impl IterationObserver for NoObserver {
 }
 
 /// Runs Algorithm 2 and returns the candidate set. Constraint checks and
-/// distance scoring go through `ctx`.
+/// distance scoring go through `ctx`. The distances the beam sort scored
+/// stay on the result ([`CandidateSet::distances`]), under the
+/// constraints' segmenter, also when the budget runs out.
 pub fn dfg_candidates<'a>(
     ctx: &'a EvalContext<'a>,
     constraints: &CompiledConstraintSet,
@@ -83,8 +85,8 @@ pub fn dfg_candidates<'a>(
     while !to_check.is_empty() {
         out.stats.iterations += 1;
         // The sort below evaluates dist once per frontier path; score the
-        // uncached groups over all cores first (no-op when parallelism is
-        // off — see `DistanceOracle::prime`).
+        // uncached groups first, in batched sweeps over all cores (see
+        // `DistanceOracle::prime`).
         oracle.prime(to_check.iter().map(|(p, _)| p.set));
         // Sort by group distance, lowest first (most cohesive paths first).
         to_check.sort_by(|a, b| {
@@ -108,6 +110,7 @@ pub fn dfg_candidates<'a>(
             if budget.exhausted(out.stats.checked + out.stats.monotonic_shortcuts) {
                 out.stats.budget_exhausted = true;
                 observer.iteration(out.stats.iterations, &examined);
+                out.distances = Some(oracle.into_memo());
                 return out;
             }
             let group = path.set;
@@ -149,7 +152,7 @@ pub fn dfg_candidates<'a>(
         let touched = out.stats.checked + out.stats.monotonic_shortcuts;
         let frontier_cap = budget
             .max_checks
-            .map(|m| (m.saturating_sub(touched) * 4).max(1024))
+            .map(|m| m.saturating_sub(touched).saturating_mul(4).max(1024))
             .unwrap_or(usize::MAX);
         let mut next: HashMap<(ClassSet, ClassId, ClassId), (Path, bool)> = HashMap::new();
         'expand: for path in to_expand {
@@ -182,6 +185,7 @@ pub fn dfg_candidates<'a>(
         frontier.sort_unstable_by_key(|(key, _)| *key);
         to_check = frontier.into_iter().map(|(_, path)| path).collect();
     }
+    out.distances = Some(oracle.into_memo());
     out
 }
 
@@ -349,6 +353,42 @@ mod tests {
         let out = dfg_candidates(&ctx, &cs, None, Budget::max_checks(4), &mut NoObserver);
         assert!(out.stats.budget_exhausted);
         assert!(out.len() <= 4);
+    }
+
+    #[test]
+    fn huge_check_budget_does_not_overflow() {
+        // The frontier cap multiplies the remaining budget by 4; a budget
+        // near usize::MAX must saturate, not overflow.
+        let mut b = LogBuilder::new();
+        b.trace("t").event("a").unwrap().event("b").unwrap().event("c").unwrap().done();
+        let log = b.build();
+        let index = gecco_eventlog::LogIndex::build(&log);
+        let ctx = gecco_eventlog::EvalContext::new(&log, &index);
+        let cs = compile(&log, "");
+        let huge = dfg_candidates(&ctx, &cs, None, Budget::max_checks(usize::MAX), &mut NoObserver);
+        let unlimited = dfg_candidates(&ctx, &cs, None, Budget::UNLIMITED, &mut NoObserver);
+        assert_eq!(huge.groups(), unlimited.groups());
+        assert_eq!(huge.stats, unlimited.stats);
+    }
+
+    #[test]
+    fn beam_distances_stay_on_the_result() {
+        let log = role_log();
+        let index = gecco_eventlog::LogIndex::build(&log);
+        let ctx = gecco_eventlog::EvalContext::new(&log, &index);
+        let cs = compile(&log, "distinct(instance, \"org:role\") <= 1;");
+        let out = dfg_candidates(&ctx, &cs, None, Budget::UNLIMITED, &mut NoObserver);
+        let memo = out.distances().expect("the beam sort's memo");
+        assert_eq!(memo.segmenter(), cs.segmenter());
+        // Every candidate sat on a sorted frontier, so it was scored.
+        for g in out.groups() {
+            let d = memo.get(g).expect("candidate scored in Step 1");
+            assert_eq!(d.to_bits(), crate::group_distance(&ctx, g, cs.segmenter()).to_bits());
+        }
+        // The early return on an exhausted budget keeps the memo too.
+        let cut = dfg_candidates(&ctx, &cs, None, Budget::max_checks(4), &mut NoObserver);
+        assert!(cut.stats.budget_exhausted);
+        assert!(cut.distances().is_some_and(|m| !m.is_empty()));
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn exhaustive_candidates(
         let touched = out.stats.checked + out.stats.monotonic_shortcuts;
         let frontier_cap = budget
             .max_checks
-            .map(|m| (m.saturating_sub(touched) * 4).max(1024))
+            .map(|m| m.saturating_sub(touched).saturating_mul(4).max(1024))
             .unwrap_or(usize::MAX);
         let mut next: HashMap<ClassSet, bool> = HashMap::new();
         'expand: for (group, in_g) in admitted {
@@ -263,6 +263,22 @@ mod tests {
         assert!(out.stats.budget_exhausted);
         assert!(out.len() <= 5);
         assert!(!out.is_empty(), "partial results are kept");
+    }
+
+    #[test]
+    fn huge_check_budget_does_not_overflow() {
+        // The frontier cap multiplies the remaining budget by 4; a budget
+        // near usize::MAX must saturate, not overflow.
+        let mut b = gecco_eventlog::LogBuilder::new();
+        b.trace("t").event("a").unwrap().event("b").unwrap().event("c").unwrap().done();
+        let log = b.build();
+        let index = gecco_eventlog::LogIndex::build(&log);
+        let ctx = gecco_eventlog::EvalContext::new(&log, &index);
+        let cs = compile(&log, "");
+        let huge = exhaustive_candidates(&ctx, &cs, Budget::max_checks(usize::MAX));
+        let unlimited = exhaustive_candidates(&ctx, &cs, Budget::UNLIMITED);
+        assert_eq!(huge.groups(), unlimited.groups());
+        assert_eq!(huge.stats, unlimited.stats);
     }
 
     #[test]

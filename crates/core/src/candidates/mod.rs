@@ -5,6 +5,7 @@ pub mod exclusive;
 pub mod exhaustive;
 pub mod session;
 
+use crate::distance::DistanceMemo;
 use gecco_constraints::{CheckingMode, CompiledConstraintSet};
 use gecco_eventlog::{parallel, ClassSet, EvalContext};
 use std::collections::{HashMap, HashSet};
@@ -112,6 +113,32 @@ pub struct CandidateStats {
     pub exclusive_candidates: usize,
 }
 
+impl CandidateStats {
+    /// Adds `other`'s counters to these field by field (`budget_exhausted`
+    /// ORs) — how a union of candidate sets reports its sources.
+    pub(crate) fn accumulate(&mut self, other: &CandidateStats) {
+        // Destructured without `..`: a new field must be added here.
+        let CandidateStats {
+            checked,
+            satisfied,
+            monotonic_shortcuts,
+            pruned_non_occurring,
+            pruned_by_sketch,
+            iterations,
+            budget_exhausted,
+            exclusive_candidates,
+        } = other;
+        self.checked += checked;
+        self.satisfied += satisfied;
+        self.monotonic_shortcuts += monotonic_shortcuts;
+        self.pruned_non_occurring += pruned_non_occurring;
+        self.pruned_by_sketch += pruned_by_sketch;
+        self.iterations += iterations;
+        self.budget_exhausted |= budget_exhausted;
+        self.exclusive_candidates += exclusive_candidates;
+    }
+}
+
 /// Constraint verdicts pre-evaluated in parallel for one enumeration level.
 ///
 /// Which entries of a level the serial loops of Algorithms 1/2 actually
@@ -211,10 +238,16 @@ impl PreevaluatedChecks {
 }
 
 /// The output of Step 1: a deduplicated set of constraint-satisfying groups.
+///
+/// It may carry the distances Step 1 scored on the way (Algorithm 2 sorts
+/// its frontier by `dist`), so that Step 2 scores only the groups Step 1
+/// never saw. Like the groups themselves, that memo is meaningful only for
+/// the log the set was computed from.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
     groups: Vec<ClassSet>,
     index: HashSet<ClassSet>,
+    distances: Option<DistanceMemo>,
     /// Run statistics.
     pub stats: CandidateStats,
 }
@@ -254,6 +287,22 @@ impl CandidateSet {
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
+
+    /// The distances scored while the set was computed, if any; seed
+    /// Step 2's oracle with them ([`crate::DistanceOracle::seeded`]).
+    pub fn distances(&self) -> Option<&DistanceMemo> {
+        self.distances.as_ref()
+    }
+
+    /// Adds `memo` to the set's distances: a copy of it becomes the memo
+    /// if the set has none, and it is merged into the memo otherwise
+    /// ([`DistanceMemo::merge`]).
+    pub(crate) fn merge_distances(&mut self, memo: &DistanceMemo) {
+        match &mut self.distances {
+            Some(own) => own.merge(memo),
+            None => self.distances = Some(memo.clone()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +331,26 @@ mod tests {
         let b = Budget::timeout(std::time::Duration::from_secs(0));
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(b.exhausted(0), "deadline checks happen on multiples of 256 (incl. 0)");
+    }
+
+    #[test]
+    fn stats_accumulate_every_field() {
+        let one = CandidateStats {
+            checked: 1,
+            satisfied: 2,
+            monotonic_shortcuts: 3,
+            pruned_non_occurring: 4,
+            pruned_by_sketch: 5,
+            iterations: 6,
+            budget_exhausted: true,
+            exclusive_candidates: 7,
+        };
+        let mut sum = CandidateStats::default();
+        sum.accumulate(&one);
+        assert_eq!(sum, one);
+        sum.accumulate(&one);
+        assert_eq!(sum.pruned_by_sketch, 10);
+        assert!(sum.budget_exhausted);
     }
 
     #[test]

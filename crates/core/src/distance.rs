@@ -32,8 +32,9 @@ use std::collections::{HashMap, HashSet};
 ///
 /// One serial walk over the group's postings merge, accumulating a
 /// per-trace subtotal so the floating-point summation order matches the
-/// [`group_distance_scan`] oracle exactly. Parallelism lives one level up,
-/// over candidates ([`DistanceOracle::prime`]).
+/// [`group_distance_scan`] oracle exactly. This is the kernel for one
+/// group scored on its own (a memo miss, a pricing step); a known batch
+/// of groups goes through [`group_distances`] instead.
 pub fn group_distance(ctx: &EvalContext<'_>, group: &ClassSet, segmenter: Segmenter) -> f64 {
     debug_assert!(!group.is_empty(), "distance of the empty group is undefined");
     let group_size = group.len();
@@ -49,18 +50,14 @@ pub fn group_distance(ctx: &EvalContext<'_>, group: &ClassSet, segmenter: Segmen
             sub = 0.0;
             current_trace = ti;
         }
-        sub += instance_terms(&inst, group_size);
+        sub += terms_of(&inst, group_size);
         count += 1;
         std::ops::ControlFlow::Continue(())
     });
     if current_trace != usize::MAX {
         total += sub;
     }
-    if count == 0 {
-        f64::INFINITY
-    } else {
-        total / count as f64
-    }
+    mean(total, count)
 }
 
 /// The naive full-log-scan evaluation of Eq. 1, kept as the oracle for the
@@ -80,11 +77,7 @@ pub fn group_distance_scan(log: &EventLog, group: &ClassSet, segmenter: Segmente
         total += sub;
         count += n;
     }
-    if count == 0 {
-        f64::INFINITY
-    } else {
-        total / count as f64
-    }
+    mean(total, count)
 }
 
 /// One trace's summands of Eq. 1 via the scan (oracle path).
@@ -97,19 +90,119 @@ fn trace_contribution(
     let mut sub = 0.0;
     let mut n = 0usize;
     for inst in instances(trace, group, segmenter) {
-        sub += instance_terms(&inst, group_size);
+        sub += terms_of(&inst, group_size);
         n += 1;
     }
     (sub, n)
 }
 
-/// The three summands of Eq. 1 for one instance — shared by the indexed
-/// and scan paths so their floating-point results cannot diverge.
+/// Computes `dist(g, L)` (Eq. 1) for a whole batch of groups in one
+/// trace-major sweep over the log; entry `i` is the distance of
+/// `groups[i]`, bit-identical to [`group_distance`] on it.
+///
+/// Each trace's events are read once, and a class → groups table routes
+/// every event to the batch's groups containing its class. Per group the
+/// sweep tracks the open instance (first and last position, length,
+/// classes seen) and a per-trace subtotal that joins the group's total
+/// when the trace ends — the summation order of [`group_distance`].
+/// Traces sharing no class with the batch are skipped. The sweep reads
+/// every event of the traces it visits, so it pays off for a batch; a
+/// single group is cheaper through its postings ([`group_distance`]).
+pub fn group_distances(log: &EventLog, groups: &[ClassSet], segmenter: Segmenter) -> Vec<f64> {
+    let mut groups_of: Vec<Vec<usize>> = vec![Vec::new(); log.classes().len()];
+    let mut batch = ClassSet::new();
+    for (gi, group) in groups.iter().enumerate() {
+        debug_assert!(!group.is_empty(), "distance of the empty group is undefined");
+        for c in group.iter() {
+            // A class the log never registered has no events to route.
+            if let Some(slot) = groups_of.get_mut(c.index()) {
+                slot.push(gi);
+            }
+        }
+        batch = batch.union(group);
+    }
+    let sizes: Vec<usize> = groups.iter().map(ClassSet::len).collect();
+    let mut open = vec![OpenInstance::default(); groups.len()];
+    let mut totals = vec![0.0; groups.len()];
+    let mut counts = vec![0usize; groups.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    for (trace, classes) in log.traces().iter().zip(log.trace_class_sets()) {
+        if !classes.intersects(&batch) {
+            continue;
+        }
+        for (pos, event) in trace.events().iter().enumerate() {
+            let class = event.class();
+            for &gi in &groups_of[class.index()] {
+                let inst = &mut open[gi];
+                if inst.len == 0 {
+                    touched.push(gi);
+                } else if segmenter == Segmenter::RepeatSplit && inst.classes.contains(class) {
+                    inst.close(sizes[gi]);
+                    counts[gi] += 1;
+                }
+                if inst.len == 0 {
+                    inst.first = pos;
+                }
+                inst.last = pos;
+                inst.len += 1;
+                inst.classes.insert(class);
+            }
+        }
+        for gi in touched.drain(..) {
+            let inst = &mut open[gi];
+            inst.close(sizes[gi]);
+            counts[gi] += 1;
+            totals[gi] += inst.sub;
+            *inst = OpenInstance::default();
+        }
+    }
+    totals.into_iter().zip(counts).map(|(total, count)| mean(total, count)).collect()
+}
+
+/// The open instance of one group in the current trace of a
+/// [`group_distances`] sweep, plus the trace's subtotal so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpenInstance {
+    first: usize,
+    last: usize,
+    /// Events so far; 0 while the group has no instance open.
+    len: usize,
+    classes: ClassSet,
+    sub: f64,
+}
+
+impl OpenInstance {
+    /// Adds the open instance's summands to the subtotal and empties it.
+    fn close(&mut self, group_size: usize) {
+        let interrupts = self.last - self.first + 1 - self.len;
+        self.sub +=
+            instance_terms(interrupts, self.len, group_size - self.classes.len(), group_size);
+        self.len = 0;
+        self.classes = ClassSet::new();
+    }
+}
+
+/// [`instance_terms`] of a materialized instance.
 #[inline]
-fn instance_terms(inst: &GroupInstance, group_size: usize) -> f64 {
-    inst.interrupts() as f64 / inst.len() as f64
-        + inst.missing(group_size) as f64 / group_size as f64
-        + 1.0 / group_size as f64
+fn terms_of(inst: &GroupInstance, group_size: usize) -> f64 {
+    instance_terms(inst.interrupts(), inst.len(), inst.missing(group_size), group_size)
+}
+
+/// The three summands of Eq. 1 for one instance — shared by every kernel
+/// so their floating-point results cannot diverge.
+#[inline]
+fn instance_terms(interrupts: usize, len: usize, missing: usize, group_size: usize) -> f64 {
+    interrupts as f64 / len as f64 + missing as f64 / group_size as f64 + 1.0 / group_size as f64
+}
+
+/// The mean over a group's instances; `INFINITY` when it has none.
+#[inline]
+fn mean(total: f64, count: usize) -> f64 {
+    if count == 0 {
+        f64::INFINITY
+    } else {
+        total / count as f64
+    }
 }
 
 /// Computes `dist(G, L)` (Eq. 2): the sum of the group distances.
@@ -121,22 +214,101 @@ pub fn grouping_distance(
     groups.into_iter().map(|g| group_distance(ctx, &g, segmenter)).sum()
 }
 
+/// The distances one [`DistanceOracle`] scored, detached from its
+/// evaluation context so that they can travel on a
+/// [`crate::CandidateSet`] from Step 1 to Step 2.
+///
+/// The memo carries no log identity. Its keys are class ids, which mean
+/// something only for the log that assigned them, and a candidate set is
+/// only meaningful for the log it was computed from — the same log any
+/// oracle seeded from its memo scores against. It does record the
+/// segmenter its distances were scored under: an oracle with another
+/// segmenter ignores it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistanceMemo {
+    segmenter: Segmenter,
+    distances: HashMap<ClassSet, f64>,
+}
+
+impl DistanceMemo {
+    /// The segmenter the distances were scored under.
+    pub fn segmenter(&self) -> Segmenter {
+        self.segmenter
+    }
+
+    /// The memoized `dist(g, L)`, if `group` was scored.
+    pub fn get(&self, group: &ClassSet) -> Option<f64> {
+        self.distances.get(group).copied()
+    }
+
+    /// Number of memoized groups.
+    pub fn len(&self) -> usize {
+        self.distances.len()
+    }
+
+    /// Whether no group was scored.
+    pub fn is_empty(&self) -> bool {
+        self.distances.is_empty()
+    }
+
+    /// Adds `other`'s distances when they were scored under the same
+    /// segmenter; a memo of another segmenter is ignored.
+    pub fn merge(&mut self, other: &DistanceMemo) {
+        if other.segmenter != self.segmenter {
+            return;
+        }
+        // gecco-lint: allow(nondet-iter) — insertion order cannot show: both memos hold the
+        // bit-identical dist(g, L) for any group they share (same log, same segmenter)
+        for (group, &d) in other.distances.iter() {
+            self.distances.entry(*group).or_insert(d);
+        }
+    }
+}
+
 /// Memoizing distance evaluator.
 ///
 /// Candidate computation (the beam sort of Algorithm 2 in particular) and
 /// selection evaluate `dist` for the same groups repeatedly; the oracle
-/// caches per-[`ClassSet`] results, scoring misses through its
-/// [`EvalContext`]'s index.
+/// caches per-[`ClassSet`] results. A known batch of groups is scored
+/// ahead of time by [`Self::prime`], in batched sweeps
+/// ([`group_distances`]) at every worker count; a single miss in
+/// [`Self::distance`] walks the group's postings ([`group_distance`]).
+/// Both kernels give bit-identical values, so the memo does not depend
+/// on which one filled it.
+///
+/// The memo outlives the oracle: [`Self::into_memo`] detaches it, and
+/// [`Self::seeded`] starts a new oracle from it, which is how Step 2
+/// reuses the distances Step 1's beam sort already paid for.
 pub struct DistanceOracle<'a> {
     ctx: &'a EvalContext<'a>,
     segmenter: Segmenter,
     cache: RefCell<HashMap<ClassSet, f64>>,
+    /// Entries taken over from a seed memo rather than scored here.
+    seeded: usize,
 }
 
 impl<'a> DistanceOracle<'a> {
     /// Creates an oracle over `ctx`'s log.
     pub fn new(ctx: &'a EvalContext<'a>, segmenter: Segmenter) -> Self {
-        DistanceOracle { ctx, segmenter, cache: RefCell::new(HashMap::new()) }
+        DistanceOracle::seeded(ctx, segmenter, None)
+    }
+
+    /// Creates an oracle over `ctx`'s log that starts from `memo`'s
+    /// distances when they were scored under `segmenter` (a memo of
+    /// another segmenter is ignored), so that only the groups the memo
+    /// lacks are scored again. The memo must come from the same log — for
+    /// a candidate set's memo, the log the set was computed from.
+    pub fn seeded(
+        ctx: &'a EvalContext<'a>,
+        segmenter: Segmenter,
+        memo: Option<&DistanceMemo>,
+    ) -> Self {
+        let cache = match memo {
+            Some(memo) if memo.segmenter == segmenter => memo.distances.clone(),
+            _ => HashMap::new(),
+        };
+        let seeded = cache.len();
+        DistanceOracle { ctx, segmenter, cache: RefCell::new(cache), seeded }
     }
 
     /// `dist(g, L)`, memoized.
@@ -149,43 +321,36 @@ impl<'a> DistanceOracle<'a> {
         d
     }
 
-    /// Fills the cache for `groups` ahead of time, scoring the uncached
-    /// ones in parallel (one worker per chunk of candidates, each with its
-    /// own private context).
-    ///
-    /// A no-op when only one worker is available — lazy evaluation in
-    /// [`Self::distance`] is then strictly better. Each worker scores its
-    /// candidates with [`group_distance`], so cached values are
-    /// bit-identical to what [`Self::distance`] would have computed.
+    /// Fills the memo for `groups` ahead of time. The groups it lacks are
+    /// scored in batched [`group_distances`] sweeps: a single sweep at one
+    /// worker, and one sweep per worker otherwise, each over a contiguous
+    /// chunk of the missing groups. Chunks split groups, never traces, so
+    /// every distance is summed in the order [`group_distance`] uses and
+    /// the memo is bit-identical at every worker count.
     pub fn prime(&self, groups: impl Iterator<Item = ClassSet>) {
-        if parallel::worker_count() <= 1 {
-            return;
-        }
         let missing: Vec<ClassSet> = {
             let cache = self.cache.borrow();
             let mut seen = HashSet::new();
             groups.filter(|g| !cache.contains_key(g) && seen.insert(*g)).collect()
         };
-        if missing.len() < 2 {
-            return;
-        }
+        let chunk = missing.len().div_ceil(parallel::worker_count()).max(1);
+        let chunks: Vec<&[ClassSet]> = missing.chunks(chunk).collect();
+        let log = self.ctx.log();
         let segmenter = self.segmenter;
-        let parts = self.ctx.parts();
-        let distances = parallel::par_map_scoped(
-            &missing,
-            2,
-            || parts.context(),
-            |worker_ctx, g| group_distance(worker_ctx, g, segmenter),
-        );
-        let mut cache = self.cache.borrow_mut();
-        for (g, d) in missing.into_iter().zip(distances) {
-            cache.insert(g, d);
-        }
+        let scored = parallel::par_map(&chunks, 2, |part| group_distances(log, part, segmenter));
+        self.cache.borrow_mut().extend(missing.into_iter().zip(scored.into_iter().flatten()));
     }
 
-    /// Number of distinct groups evaluated so far.
+    /// Number of distinct groups this oracle scored; distances taken over
+    /// from a seed memo ([`Self::seeded`]) do not count.
     pub fn evaluations(&self) -> usize {
-        self.cache.borrow().len()
+        self.cache.borrow().len() - self.seeded
+    }
+
+    /// Detaches the memo: every distance this oracle holds, scored or
+    /// seeded, under its segmenter.
+    pub fn into_memo(self) -> DistanceMemo {
+        DistanceMemo { segmenter: self.segmenter, distances: self.cache.into_inner() }
     }
 
     /// The evaluation context this oracle scores against.
@@ -330,7 +495,81 @@ mod tests {
             group_distance(&ctx2, &ClassSet::singleton(ghost), Segmenter::RepeatSplit),
             f64::INFINITY
         );
+        assert_eq!(
+            group_distances(&log2, &[ClassSet::singleton(ghost)], Segmenter::RepeatSplit),
+            [f64::INFINITY]
+        );
         let _ = (log, a);
+    }
+
+    #[test]
+    fn batched_distances_match_the_single_group_kernel() {
+        let log = running_example();
+        let index = gecco_eventlog::LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let ids: Vec<_> = log.classes().ids().collect();
+        let groups: Vec<ClassSet> = (1u32..(1 << ids.len()))
+            .map(|mask| {
+                let members = ids.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0);
+                members.map(|(_, c)| *c).collect()
+            })
+            .collect();
+        for seg in [Segmenter::RepeatSplit, Segmenter::NoSplit] {
+            let batched = group_distances(&log, &groups, seg);
+            for (g, d) in groups.iter().zip(&batched) {
+                let single = group_distance(&ctx, g, seg);
+                assert_eq!(d.to_bits(), single.to_bits(), "{seg:?} {g:?}: {d} vs {single}");
+            }
+        }
+        assert!(group_distances(&log, &[], Segmenter::RepeatSplit).is_empty());
+    }
+
+    #[test]
+    fn seeded_oracle_scores_only_what_the_memo_lacks() {
+        let log = running_example();
+        let index = gecco_eventlog::LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let seg = Segmenter::RepeatSplit;
+        let first = [group(&log, &["rcp", "ckc"]), group(&log, &["acc"]), group(&log, &["rej"])];
+        let second = [group(&log, &["acc"]), group(&log, &["prio", "inf", "arv"])];
+        let step1 = DistanceOracle::new(&ctx, seg);
+        step1.prime(first.into_iter());
+        assert_eq!(step1.evaluations(), 3);
+        let memo = step1.into_memo();
+        assert_eq!((memo.len(), memo.segmenter()), (3, seg));
+
+        let step2 = DistanceOracle::seeded(&ctx, seg, Some(&memo));
+        assert_eq!(step2.evaluations(), 0, "seeded distances are not scored");
+        step2.prime(second.into_iter());
+        assert_eq!(step2.evaluations(), 1, "only {{prio, inf, arv}} was missing");
+        for g in first.iter().chain(&second) {
+            assert_eq!(step2.distance(g).to_bits(), group_distance(&ctx, g, seg).to_bits());
+        }
+        assert_eq!(step2.evaluations(), 1);
+
+        // A memo scored under another segmenter is not taken over.
+        let other = DistanceOracle::seeded(&ctx, Segmenter::NoSplit, Some(&memo));
+        other.prime(second.into_iter());
+        assert_eq!(other.evaluations(), 2);
+    }
+
+    #[test]
+    fn memos_merge_only_under_the_same_segmenter() {
+        let log = running_example();
+        let index = gecco_eventlog::LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let (a, b) = (group(&log, &["acc"]), group(&log, &["rej"]));
+        let memo = |seg, g: ClassSet| {
+            let oracle = DistanceOracle::new(&ctx, seg);
+            oracle.distance(&g);
+            oracle.into_memo()
+        };
+        let mut merged = memo(Segmenter::RepeatSplit, a);
+        merged.merge(&memo(Segmenter::NoSplit, b));
+        assert_eq!(merged.len(), 1);
+        merged.merge(&memo(Segmenter::RepeatSplit, b));
+        assert_eq!(merged.len(), 2);
+        assert_eq!(merged.get(&b), Some(1.0));
     }
 
     #[test]

@@ -211,7 +211,8 @@ impl<'a> GraphNode<'a> for SessionCandidateSourceNode<'a> {
 }
 
 /// Algorithm 3 as a candidate-filter node: extends a candidate set with
-/// merged exclusive alternatives.
+/// merged exclusive alternatives. The incoming distance memo passes
+/// through; the merged groups are scored in Step 2.
 pub struct ExclusiveMergeNode<'a> {
     constraints: Arc<CompiledConstraintSet>,
     cache: Option<&'a InstanceCache>,
@@ -250,9 +251,10 @@ impl<'a> GraphNode<'a> for ExclusiveMergeNode<'a> {
 }
 
 /// Merges any number of candidate sets in edge-insertion order — groups
-/// deduplicate on insertion, statistics accumulate field-wise — so several
-/// scenario sources can feed one selector. The deterministic merge order
-/// keeps parallel branch execution bit-identical to serial.
+/// deduplicate on insertion, statistics accumulate field-wise, distance
+/// memos merge — so several scenario sources can feed one selector. The
+/// deterministic merge order keeps parallel branch execution
+/// bit-identical to serial.
 pub struct UnionCandidatesNode;
 
 impl<'a> GraphNode<'a> for UnionCandidatesNode {
@@ -275,14 +277,10 @@ impl<'a> GraphNode<'a> for UnionCandidatesNode {
             for &group in candidates.groups() {
                 union.insert(group);
             }
-            let s = &candidates.stats;
-            union.stats.checked += s.checked;
-            union.stats.satisfied += s.satisfied;
-            union.stats.monotonic_shortcuts += s.monotonic_shortcuts;
-            union.stats.pruned_non_occurring += s.pruned_non_occurring;
-            union.stats.iterations += s.iterations;
-            union.stats.budget_exhausted |= s.budget_exhausted;
-            union.stats.exclusive_candidates += s.exclusive_candidates;
+            union.stats.accumulate(&candidates.stats);
+            if let Some(memo) = candidates.distances() {
+                union.merge_distances(memo);
+            }
         }
         Ok(Artifact::Candidates(Arc::new(union)).into())
     }
@@ -291,7 +289,9 @@ impl<'a> GraphNode<'a> for UnionCandidatesNode {
 /// Step 2 as a node: solves the set-partitioning MIP over the incoming
 /// candidates. Emits a [`ArtifactKind::Selection`] when feasible and an
 /// [`ArtifactKind::Infeasible`] marker otherwise — pair it with
-/// [`super::EdgeCond::IfKind`] edges to route the two cases.
+/// [`super::EdgeCond::IfKind`] edges to route the two cases. Its oracle
+/// starts from the candidates' distance memo when that was scored under
+/// the node's segmenter.
 pub struct SelectorNode<'a> {
     constraints: Arc<CompiledConstraintSet>,
     segmenter: Segmenter,
@@ -328,7 +328,7 @@ impl<'a> GraphNode<'a> for SelectorNode<'a> {
         let input = inputs[0].as_log().expect("validated port");
         let candidates = inputs[1].as_candidates().expect("validated port");
         let ctx = context(input, self.cache);
-        let oracle = DistanceOracle::new(&ctx, self.segmenter);
+        let oracle = DistanceOracle::seeded(&ctx, self.segmenter, candidates.distances());
         let selected = if use_column_generation(&self.options, input.log(), input.index()) {
             select_optimal_colgen(
                 input.log(),
@@ -619,6 +619,114 @@ mod tests {
         let out = run.take_artifact(abstractor).and_then(Artifact::into_abstraction).unwrap();
         assert!(out.grouping.is_exact_cover(&log));
         assert_eq!(out.index, LogIndex::build(&out.log), "spliced index matches a rebuild");
+    }
+
+    /// A one-input union must report exactly its source's statistics —
+    /// every field, `pruned_by_sketch` included — and carry its memo.
+    #[test]
+    fn union_reports_its_sources_stats_and_memo() {
+        let mut b = LogBuilder::new();
+        for (case, trace) in [("c1", ["a", "b"]), ("c2", ["b", "c"]), ("c3", ["a", "c"])] {
+            b.trace(case).event(trace[0]).unwrap().event(trace[1]).unwrap().done();
+        }
+        let log = b.build();
+        let index = LogIndex::build(&log);
+        let compiled =
+            Arc::new(CompiledConstraintSet::compile(&ConstraintSet::new(), &log).unwrap());
+        for strategy in [CandidateStrategy::Exhaustive, CandidateStrategy::DfgUnbounded] {
+            let mut graph = PipelineGraph::new();
+            let input = graph.add_node(InputNode::new(Artifact::log(&log, &index)));
+            let source = graph.add_node(CandidateSourceNode::new(
+                strategy,
+                Budget::UNLIMITED,
+                Arc::clone(&compiled),
+                None,
+            ));
+            let union = graph.add_node(UnionCandidatesNode);
+            graph.add_edge(input, source);
+            graph.add_edge(source, union);
+            let run = graph.execute().unwrap();
+            let source = run.artifact(source).and_then(Artifact::as_candidates).unwrap();
+            let union = run.artifact(union).and_then(Artifact::as_candidates).unwrap();
+            if strategy == CandidateStrategy::Exhaustive {
+                // The sketch rejects {a, b, c}, which no trace holds.
+                assert!(source.stats.pruned_by_sketch > 0);
+            }
+            assert_eq!(union.stats, source.stats, "{strategy:?}");
+            assert_eq!(union.groups(), source.groups(), "{strategy:?}");
+            assert_eq!(union.distances(), source.distances(), "{strategy:?}");
+        }
+    }
+
+    /// A selector whose segmenter differs from the one the candidates'
+    /// memo was scored under must score the pool afresh: its selection
+    /// equals the one a fresh oracle under its own segmenter gives.
+    #[test]
+    fn selector_ignores_a_memo_of_another_segmenter() {
+        let mut b = LogBuilder::new();
+        let traces: &[&[&str]] = &[
+            &["rcp", "ckc", "acc", "prio", "inf", "arv"],
+            &["rcp", "ckt", "rej", "prio", "arv", "inf"],
+            &["rcp", "ckc", "rej", "rcp", "ckt", "acc", "prio", "arv", "inf"],
+        ];
+        for (i, t) in traces.iter().enumerate() {
+            let mut tb = b.trace(&format!("σ{i}"));
+            for cls in *t {
+                tb = tb.event(cls).unwrap();
+            }
+            tb.done();
+        }
+        let log = b.build();
+        let index = LogIndex::build(&log);
+        let spec = ConstraintSet::parse("size(g) <= 3;").unwrap();
+        let compiled = Arc::new(
+            CompiledConstraintSet::compile_with(&spec, &log, Segmenter::RepeatSplit).unwrap(),
+        );
+        let mut graph = PipelineGraph::new();
+        let input = graph.add_node(InputNode::new(Artifact::log(&log, &index)));
+        let source = graph.add_node(CandidateSourceNode::new(
+            CandidateStrategy::DfgUnbounded,
+            Budget::UNLIMITED,
+            Arc::clone(&compiled),
+            None,
+        ));
+        let selector = graph.add_node(SelectorNode::new(
+            Arc::clone(&compiled),
+            Segmenter::NoSplit,
+            SelectionOptions::default(),
+            None,
+        ));
+        graph.add_edge(input, source);
+        graph.add_edge(input, selector);
+        graph.add_edge(source, selector);
+        let run = graph.execute().unwrap();
+        let candidates = run.artifact(source).and_then(Artifact::as_candidates).unwrap();
+        assert_eq!(candidates.distances().map(|m| m.segmenter()), Some(Segmenter::RepeatSplit));
+        let selected = run.artifact(selector).and_then(Artifact::as_selection).unwrap();
+
+        let ctx = EvalContext::new(&log, &index);
+        let fresh = DistanceOracle::new(&ctx, Segmenter::NoSplit);
+        let expect = select_optimal(
+            &log,
+            candidates.groups(),
+            &fresh,
+            compiled.group_count_bounds(),
+            SelectionOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(selected.grouping, expect.grouping);
+        assert_eq!(selected.distance.to_bits(), expect.distance.to_bits());
+        // The two segmenters do score this pool differently.
+        let seeded = DistanceOracle::seeded(&ctx, Segmenter::RepeatSplit, candidates.distances());
+        let repeat = select_optimal(
+            &log,
+            candidates.groups(),
+            &seeded,
+            compiled.group_count_bounds(),
+            SelectionOptions::default(),
+        )
+        .unwrap();
+        assert_ne!(repeat.distance.to_bits(), expect.distance.to_bits());
     }
 
     /// The store-backed source must feed downstream nodes the same log

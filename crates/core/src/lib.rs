@@ -33,7 +33,10 @@ pub mod selection;
 pub use abstraction::AbstractionStrategy;
 pub use candidates::session::{SessionBoundary, SessionConfig};
 pub use candidates::{BeamWidth, Budget, CandidateSet, CandidateStats, CandidateStrategy};
-pub use distance::{group_distance, group_distance_scan, grouping_distance, DistanceOracle};
+pub use distance::{
+    group_distance, group_distance_scan, group_distances, grouping_distance, DistanceMemo,
+    DistanceOracle,
+};
 pub use gecco_eventlog::{parallel_enabled, set_parallel};
 pub use gecco_solver::MasterEngine;
 pub use grouping::Grouping;

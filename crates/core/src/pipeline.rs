@@ -338,11 +338,12 @@ impl<'a> Gecco<'a> {
 
         // Step 2: optimal grouping. The column-generation route prices
         // candidates lazily out of the implicit pool instead of using the
-        // Step-1 enumeration (which then only serves diagnostics).
+        // Step-1 enumeration (which then only serves diagnostics). Either
+        // way the oracle starts from the distances Step 1 scored.
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
         // reported in PipelineStats and never folds into results
         let t1 = Instant::now();
-        let oracle = DistanceOracle::new(&ctx, self.segmenter);
+        let oracle = DistanceOracle::seeded(&ctx, self.segmenter, candidates.distances());
         let selected = if use_column_generation(&self.selection, self.log, index) {
             select_optimal_colgen(
                 self.log,

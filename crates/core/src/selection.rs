@@ -186,6 +186,10 @@ pub struct Selection {
 
 /// Selects an optimal grouping from `candidates`, or `None` if no exact
 /// cover satisfying the group-count bounds exists.
+///
+/// The whole pool is primed into `oracle` before the MIP is built, so
+/// every distance the oracle lacks is scored in batched sweeps
+/// ([`DistanceOracle::prime`]) rather than one group at a time.
 pub fn select_optimal(
     log: &EventLog,
     candidates: &[ClassSet],
@@ -213,6 +217,7 @@ pub fn select_optimal(
     // Problem-set index → candidate index (empty or infinite-distance
     // candidates are skipped, so the two indexings can diverge).
     let mut kept: Vec<usize> = Vec::with_capacity(candidates.len());
+    oracle.prime(candidates.iter().copied().filter(|group| !group.is_empty()));
     for (candidate, group) in candidates.iter().enumerate() {
         debug_assert!(group.is_subset(&universe), "candidate contains unknown class");
         let members: Vec<usize> = group.iter().map(index_of).collect();

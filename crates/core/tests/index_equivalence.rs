@@ -9,7 +9,7 @@
 //! accumulation fan out over worker threads).
 
 use gecco_constraints::{CompiledConstraintSet, ConstraintSet};
-use gecco_core::{group_distance, group_distance_scan};
+use gecco_core::{group_distance, group_distance_scan, group_distances};
 use gecco_eventlog::{
     instances, log_instances, ClassSet, EvalContext, EventLog, InstanceCache, LogBuilder, LogIndex,
     Segmenter,
@@ -21,25 +21,38 @@ use proptest::prelude::*;
 /// function of its coordinates) so aggregate constraints have data, and an
 /// `org:role` drawn from the class parity.
 fn arb_log() -> impl Strategy<Value = EventLog> {
+    arb_traces().prop_map(|traces| build_log(&traces, false))
+}
+
+/// The class sequences behind [`arb_log`].
+fn arb_traces() -> impl Strategy<Value = Vec<Vec<usize>>> {
     let trace = proptest::collection::vec(0usize..6, 0..=12);
-    proptest::collection::vec(trace, 1..=10).prop_map(|traces| {
-        let mut b = LogBuilder::new();
-        for (i, t) in traces.iter().enumerate() {
-            let mut tb = b.trace(&format!("case-{i}"));
-            for (j, &cls) in t.iter().enumerate() {
-                let role = if cls % 2 == 0 { "even" } else { "odd" };
-                tb = tb
-                    .event_with(&format!("c{cls}"), |e| {
-                        e.str("org:role", role)
-                            .timestamp("time:timestamp", (i as i64) * 10_000 + (j as i64) * 100)
-                            .int("v", ((i * 31 + j * 7 + cls) % 100) as i64);
-                    })
-                    .expect("small logs stay within class limits");
-            }
-            tb.done();
+    proptest::collection::vec(trace, 1..=10)
+}
+
+/// Builds an [`arb_log`] log; with `ghost`, one more class is registered
+/// after the traces that no event has, so groups containing it lack
+/// instances or classes.
+fn build_log(traces: &[Vec<usize>], ghost: bool) -> EventLog {
+    let mut b = LogBuilder::new();
+    for (i, t) in traces.iter().enumerate() {
+        let mut tb = b.trace(&format!("case-{i}"));
+        for (j, &cls) in t.iter().enumerate() {
+            let role = if cls % 2 == 0 { "even" } else { "odd" };
+            tb = tb
+                .event_with(&format!("c{cls}"), |e| {
+                    e.str("org:role", role)
+                        .timestamp("time:timestamp", (i as i64) * 10_000 + (j as i64) * 100)
+                        .int("v", ((i * 31 + j * 7 + cls) % 100) as i64);
+                })
+                .expect("small logs stay within class limits");
         }
-        b.build()
-    })
+        tb.done();
+    }
+    if ghost {
+        b.class("ghost").expect("small logs stay within class limits");
+    }
+    b.build()
 }
 
 /// All non-empty groups over the log's registered classes (≤ 6 classes, so
@@ -134,18 +147,56 @@ proptest! {
     }
 
     #[test]
-    fn indexed_distance_matches_scan(log in arb_log()) {
+    fn indexed_distance_matches_scan(case in (arb_traces(), arb_batches())) {
+        // The postings walk, the scan and the batched sweep agree bit for
+        // bit, with a registered class no event has (its groups score
+        // INFINITY or count it as missing).
+        let (traces, batches) = case;
+        let log = build_log(&traces, true);
         let index = LogIndex::build(&log);
         let ctx = EvalContext::new(&log, &index);
+        let ghost = log.class_by_name("ghost").expect("registered");
+        let groups = all_groups(&log);
         for segmenter in [Segmenter::RepeatSplit, Segmenter::NoSplit] {
-            for group in all_groups(&log) {
-                let indexed = group_distance(&ctx, &group, segmenter);
-                let scan = group_distance_scan(&log, &group, segmenter);
+            let batched = group_distances(&log, &groups, segmenter);
+            prop_assert_eq!(batched.len(), groups.len());
+            for (group, swept) in groups.iter().zip(&batched) {
+                let indexed = group_distance(&ctx, group, segmenter);
+                let scan = group_distance_scan(&log, group, segmenter);
                 prop_assert!(
                     indexed.to_bits() == scan.to_bits(),
                     "distance diverges on {:?}: {} vs {}", group, indexed, scan
                 );
+                prop_assert!(
+                    swept.to_bits() == indexed.to_bits(),
+                    "batched distance diverges on {:?}: {} vs {}", group, swept, indexed
+                );
+            }
+            prop_assert_eq!(
+                group_distances(&log, &[ClassSet::singleton(ghost)], segmenter),
+                vec![f64::INFINITY]
+            );
+            // Sub-batches with repeats (the first pick always comes twice):
+            // each entry is its group's distance, whatever shares the sweep.
+            for picks in &batches {
+                let mut batch: Vec<ClassSet> =
+                    picks.iter().map(|&p| groups[p % groups.len()]).collect();
+                batch.push(batch[0]);
+                let swept = group_distances(&log, &batch, segmenter);
+                for (group, d) in batch.iter().zip(&swept) {
+                    let single = group_distance(&ctx, group, segmenter);
+                    prop_assert!(
+                        d.to_bits() == single.to_bits(),
+                        "sub-batch distance diverges on {:?}: {} vs {}", group, d, single
+                    );
+                }
             }
         }
     }
+}
+
+/// Random sub-batches of group indexes (taken modulo the group count),
+/// long enough to repeat groups.
+fn arb_batches() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    proptest::collection::vec(proptest::collection::vec(0usize..1024, 1..=40), 1..=4)
 }

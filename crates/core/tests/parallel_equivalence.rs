@@ -9,9 +9,11 @@
 use gecco_core::candidates::dfg::{dfg_candidates, NoObserver};
 use gecco_core::candidates::exclusive::extend_with_exclusive_candidates;
 use gecco_core::candidates::exhaustive::exhaustive_candidates;
-use gecco_core::{group_distance, set_parallel, BeamWidth, Budget, CandidateSet};
+use gecco_core::{
+    group_distance, set_parallel, BeamWidth, Budget, CandidateSet, DistanceMemo, DistanceOracle,
+};
 use gecco_datagen::loan_log;
-use gecco_eventlog::{EvalContext, EventLog, LogIndex, Segmenter};
+use gecco_eventlog::{ClassSet, EvalContext, EventLog, LogIndex, Segmenter};
 
 fn compile(log: &EventLog, dsl: &str) -> gecco_constraints::CompiledConstraintSet {
     gecco_constraints::CompiledConstraintSet::compile(
@@ -44,6 +46,7 @@ fn both<T>(f: impl Fn() -> T) -> (T, T) {
 fn assert_same(serial: &CandidateSet, parallel: &CandidateSet) {
     assert_eq!(serial.groups(), parallel.groups(), "candidate sets diverge");
     assert_eq!(serial.stats, parallel.stats, "statistics diverge");
+    assert_eq!(serial.distances(), parallel.distances(), "distance memos diverge");
 }
 
 #[test]
@@ -131,5 +134,47 @@ fn budget_exhaustion_is_equivalent() {
             )
         });
         assert_same(&serial, &parallel);
+    }
+}
+
+#[test]
+fn prime_leaves_bit_identical_memos_at_every_worker_count() {
+    // Every pair and triple of neighbouring classes, with repeats: `prime`
+    // sweeps one chunk of groups per worker, so 1, 2 and 4 workers split
+    // the batch differently and must still fill the same memo.
+    let log = loan_log(120, 4);
+    let index = LogIndex::build(&log);
+    let ctx = EvalContext::new(&log, &index);
+    let classes: Vec<_> = log.classes().ids().collect();
+    let mut groups: Vec<ClassSet> = Vec::new();
+    for width in [1, 2, 3] {
+        for window in classes.windows(width) {
+            groups.push(window.iter().copied().collect());
+        }
+    }
+    groups.extend(groups.clone().into_iter().step_by(3));
+    for segmenter in [Segmenter::RepeatSplit, Segmenter::NoSplit] {
+        let memos: Vec<DistanceMemo> = {
+            let _guard = TOGGLE_LOCK.lock().unwrap();
+            set_parallel(true);
+            let memos = ["1", "2", "4"]
+                .into_iter()
+                .map(|threads| {
+                    std::env::set_var("RAYON_NUM_THREADS", threads);
+                    let oracle = DistanceOracle::new(&ctx, segmenter);
+                    oracle.prime(groups.iter().copied());
+                    oracle.into_memo()
+                })
+                .collect();
+            force_threads();
+            memos
+        };
+        for memo in &memos {
+            assert_eq!(memo.len(), memos[0].len());
+            for group in &groups {
+                let expect = group_distance(&ctx, group, segmenter).to_bits();
+                assert_eq!(memo.get(group).map(f64::to_bits), Some(expect), "{group:?}");
+            }
+        }
     }
 }

@@ -16,6 +16,8 @@
 //! without the feature the parallel assertions hold trivially.
 
 use gecco_constraints::{CompiledConstraintSet, ConstraintSet};
+use gecco_core::candidates::dfg::{dfg_candidates, NoObserver};
+use gecco_core::candidates::exclusive::extend_with_exclusive_candidates;
 use gecco_core::candidates::exhaustive::exhaustive_candidates;
 use gecco_core::{
     select_optimal, select_optimal_colgen, set_parallel, solve_set_partition, Budget,
@@ -26,6 +28,7 @@ use gecco_eventlog::{
 };
 use gecco_solver::{SetPartitionProblem, SetPartitionSolution, SolveEngine};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn force_threads() {
     // Safe on edition 2021; tests that call this all set the same value.
@@ -243,6 +246,45 @@ proptest! {
                     false,
                     "{engine:?} disagrees on feasibility: lazy {lazy:?} vs enumerated {enumerated:?}"
                 ),
+            }
+        }
+    }
+
+    /// Step 2 seeded with Step 1's distance memo selects exactly what a
+    /// fresh oracle selects, and scores only the pool groups the memo
+    /// lacks (Algorithm 3's merges, here). A memo scored under another
+    /// segmenter is ignored: the whole pool is scored again.
+    #[test]
+    fn seeded_selection_matches_a_fresh_oracle(instance in arb_selection_instance()) {
+        let (log, min, max, sized) = instance;
+        let index = LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let compiled = compile(&log, sized);
+        let mut pool = dfg_candidates(&ctx, &compiled, None, Budget::UNLIMITED, &mut NoObserver);
+        extend_with_exclusive_candidates(&ctx, &compiled, &mut pool);
+        let memo = pool.distances().expect("the beam sort leaves its memo");
+        let distinct: HashSet<ClassSet> = pool.groups().iter().copied().collect();
+        for segmenter in [Segmenter::RepeatSplit, Segmenter::NoSplit] {
+            let fresh = DistanceOracle::new(&ctx, segmenter);
+            let seeded = DistanceOracle::seeded(&ctx, segmenter, Some(memo));
+            let opts = SelectionOptions::default();
+            let expect = select_optimal(&log, pool.groups(), &fresh, (min, max), opts);
+            let got = select_optimal(&log, pool.groups(), &seeded, (min, max), opts);
+            let lacking = if segmenter == memo.segmenter() {
+                distinct.iter().filter(|g| memo.get(g).is_none()).count()
+            } else {
+                distinct.len()
+            };
+            prop_assert_eq!(seeded.evaluations(), lacking, "{:?}", segmenter);
+            prop_assert_eq!(fresh.evaluations(), distinct.len(), "{:?}", segmenter);
+            match (expect, got) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    prop_assert_eq!(&a.grouping, &b.grouping, "{:?}", segmenter);
+                    prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+                    prop_assert_eq!(a.proven_optimal, b.proven_optimal);
+                }
+                (a, b) => prop_assert!(false, "feasibility differs: {a:?} vs {b:?}"),
             }
         }
     }
