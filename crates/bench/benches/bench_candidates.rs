@@ -8,7 +8,7 @@ use gecco_core::candidates::dfg::{dfg_candidates, NoObserver};
 use gecco_core::candidates::exhaustive::exhaustive_candidates;
 use gecco_core::{BeamWidth, Budget};
 use gecco_datagen::{evaluation_collection, loan_log, CollectionScale};
-use gecco_eventlog::{ClassSet, Dfg, EvalContext, EventLog, InstanceCache, LogIndex};
+use gecco_eventlog::{ClassSet, Dfg, EvalContext, EventLog, LogIndex};
 
 fn compile(log: &EventLog, dsl: &str) -> CompiledConstraintSet {
     CompiledConstraintSet::compile(&ConstraintSet::parse(dsl).unwrap(), log).unwrap()
@@ -98,7 +98,7 @@ fn bench_dfg_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scan vs indexed vs indexed+cache per-candidate checks on a collection
+/// Scan vs indexed per-candidate checks on a collection
 /// workload: 70 event classes over 90 traces, so the typical candidate's
 /// classes occur in only a small fraction of the traces — exactly the shape
 /// where the full-log scan wastes its time on foreign traces.
@@ -129,15 +129,8 @@ fn bench_check_modes(c: &mut Criterion) {
         let ctx = EvalContext::new(&log, &index);
         b.iter(|| pool.iter().filter(|g| constraints.holds(g, &ctx)).count())
     });
-    group.bench_function(BenchmarkId::new("mode", "indexed_cached"), |b| {
-        // Cross-candidate cache: after the first pass every verdict is a
-        // lookup (the cross-constraint-set reuse measured in table5/table6).
-        let cache = InstanceCache::new();
-        let ctx = EvalContext::with_cache(&log, &index, &cache);
-        b.iter(|| pool.iter().filter(|g| constraints.holds(g, &ctx)).count())
-    });
     group.finish();
-    // Sanity: all three modes agree (cheap here; a debug aid for the bench).
+    // Sanity: both modes agree (cheap here; a debug aid for the bench).
     let ctx = EvalContext::new(&log, &index);
     for g in &pool {
         assert_eq!(constraints.holds(g, &ctx), constraints.holds_scan(g, &log));

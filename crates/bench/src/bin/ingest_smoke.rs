@@ -12,6 +12,11 @@
 //! ceiling. The routes must run in separate processes: `VmHWM` is a
 //! high-water mark, so an in-memory parse in the same process would mask
 //! the store route's footprint.
+//!
+//! `--batch` defaults to `IngestOptions::default().batch_traces`, the
+//! library's own batch size. In-flight ingest memory is
+//! `queue_depth = 2 × workers` batches, so the store route's peak grows
+//! with both the batch size and `RAYON_NUM_THREADS`.
 
 use gecco_constraints::ConstraintSet;
 use gecco_core::Gecco;
@@ -32,7 +37,7 @@ fn parse_args() -> Result<Args, String> {
     let mut xes = None;
     let mut route = None;
     let mut store_dir = None;
-    let mut batch = 4096usize;
+    let mut batch = IngestOptions::default().batch_traces;
     let mut ingest_only = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {

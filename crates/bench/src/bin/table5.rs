@@ -43,8 +43,8 @@ fn main() {
         ..Default::default()
     };
     let collection = evaluation_collection(scale);
-    // One session per log: the occurrence index is built once and the
-    // instance/verdict cache is shared across all ten constraint sets.
+    // One session per log: the occurrence index is built once and shared
+    // across all ten constraint sets.
     let sessions: Vec<LogSession<'_>> =
         collection.iter().map(|generated| LogSession::new(&generated.log)).collect();
     println!("Table V — Exh configuration per constraint set (ours vs paper)");

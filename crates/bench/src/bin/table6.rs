@@ -16,9 +16,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 1_000 } else { 10_000 });
     let collection = evaluation_collection(scale);
-    // One session per log, shared across constraint sets and configurations
-    // (instances depend only on the group and segmenter, never on the
-    // Step-1 strategy).
+    // One session per log: the occurrence index is built once and shared
+    // across constraint sets and configurations.
     let sessions: Vec<LogSession<'_>> =
         collection.iter().map(|generated| LogSession::new(&generated.log)).collect();
     let configs: [(&str, CandidateStrategy, Option<PaperRow>); 3] = [

@@ -6,38 +6,34 @@ use gecco_core::{
     AbstractionStrategy, Budget, CandidateStrategy, Gecco, Grouping, Outcome, SelectionOptions,
 };
 use gecco_discovery::DiscoveryOptions;
-use gecco_eventlog::{
-    CacheStats, ClassSet, EvalContext, EventLog, InstanceCache, LogIndex, Segmenter,
-};
+use gecco_eventlog::{ClassSet, EvalContext, EventLog, LogIndex, Segmenter};
 use gecco_metrics::{complexity_reduction, silhouette_coefficient, size_reduction, ClassDistances};
 use std::time::Instant;
 
 /// Shared per-log evaluation state for a *series* of abstraction problems:
-/// the occurrence index (built once) plus the cross-candidate,
-/// cross-constraint-set instance/verdict cache.
+/// the log and its occurrence index, built once.
 ///
 /// The evaluation harness runs the same log under up to ten constraint
-/// sets (Tables V–VII); every set re-examines largely the same candidate
-/// groups, so sharing one session avoids re-indexing the log and
-/// re-materializing `inst(L, g)` per set.
+/// sets (Tables V–VII), so sharing one session avoids re-indexing the log
+/// per set. Every run still checks its candidates afresh: nothing the
+/// session holds grows with the groups those runs touch.
 #[derive(Debug)]
 pub struct LogSession<'a> {
     log: &'a EventLog,
     index: LogIndex,
-    cache: InstanceCache,
 }
 
 impl<'a> LogSession<'a> {
-    /// Indexes `log` and starts an empty shared cache.
+    /// Indexes `log`.
     pub fn new(log: &'a EventLog) -> LogSession<'a> {
-        LogSession { log, index: LogIndex::build(log), cache: InstanceCache::new() }
+        LogSession { log, index: LogIndex::build(log) }
     }
 
     /// Starts a session over a log whose index already exists — e.g. the
     /// spliced index returned by an abstraction pass
     /// (`AbstractionResult::into_log_and_index`) — skipping the rebuild.
     pub fn with_index(log: &'a EventLog, index: LogIndex) -> LogSession<'a> {
-        LogSession { log, index, cache: InstanceCache::new() }
+        LogSession { log, index }
     }
 
     /// The session's log.
@@ -45,14 +41,9 @@ impl<'a> LogSession<'a> {
         self.log
     }
 
-    /// An evaluation context over the session's shared state.
+    /// An evaluation context over the session's log and index.
     pub fn context(&self) -> EvalContext<'_> {
-        EvalContext::with_cache(self.log, &self.index, &self.cache)
-    }
-
-    /// Usage counters of the shared cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        EvalContext::new(self.log, &self.index)
     }
 }
 
@@ -114,9 +105,8 @@ pub fn run_gecco(log: &EventLog, dsl: &str, config: RunConfig) -> Result<Problem
     run_gecco_shared(&session, dsl, config)
 }
 
-/// Like [`run_gecco`], but reuses a [`LogSession`]: the log index is built
-/// once per log, and materialized instances/verdicts are shared across
-/// candidates and constraint sets (the ROADMAP's "shared candidate cache").
+/// Like [`run_gecco`], but reuses a [`LogSession`], so the log index is
+/// built once per log rather than once per constraint set.
 ///
 /// Both entry points call [`Gecco::run`], which since the pipeline-as-graph
 /// refactor drives the `gecco_core::graph` DAG executor — bit-identical to
@@ -139,7 +129,6 @@ pub fn run_gecco_shared(
             ..Default::default()
         })
         .with_index(&session.index)
-        .instance_cache(&session.cache)
         .run()
         .map_err(|e| e.to_string())?;
     let seconds = start.elapsed().as_secs_f64();
@@ -266,31 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_reuses_instances_across_constraint_sets() {
+    fn shared_session_matches_isolated_runs() {
         let log = running_example();
         let session = LogSession::new(&log);
         let config = RunConfig { strategy: CandidateStrategy::DfgUnbounded, ..Default::default() };
         let a =
             run_gecco_shared(&session, "distinct(instance, \"org:role\") <= 1;", config).unwrap();
-        let after_first = session.cache_stats();
-        assert!(after_first.instance_entries > 0, "first run populates the cache");
-        // A second constraint set over the same log: same candidates, so the
-        // materialized instances are reused instead of recomputed.
+        // A second constraint set over the same session.
         let b = run_gecco_shared(
             &session,
             "size(g) <= 8; distinct(instance, \"org:role\") <= 1;",
             config,
         )
         .unwrap();
-        let after_second = session.cache_stats();
-        assert!(after_second.instance_hits > after_first.instance_hits);
         assert!(a.solved && b.solved);
-        // Re-running the *same* specification re-compiles it, but the
-        // structural signature resolves to the same verdict token, so the
-        // whole candidate search is answered from the verdict cache.
+        // Re-running the same specification over the session gives the
+        // same groups.
         let a2 =
             run_gecco_shared(&session, "distinct(instance, \"org:role\") <= 1;", config).unwrap();
-        assert!(session.cache_stats().verdict_hits > after_second.verdict_hits);
         assert_eq!(a2.groups, a.groups);
         // Shared-session outcomes match isolated runs.
         let isolated = run_gecco(&log, "distinct(instance, \"org:role\") <= 1;", config).unwrap();

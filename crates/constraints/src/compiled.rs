@@ -6,12 +6,10 @@
 //! validation cost per candidate").
 //!
 //! Evaluation runs against an [`EvalContext`]: instance-based checks
-//! materialize group instances through the log's
-//! [`gecco_eventlog::LogIndex`] (touching only traces that contain a group
-//! class) and, when the context carries a shared
-//! [`gecco_eventlog::InstanceCache`], reuse materialized instances across
-//! candidates and constraint sets and memoize `holds` verdicts per compiled
-//! set. The naive full-log scan survives as the
+//! stream group instances through the log's [`gecco_eventlog::LogIndex`]
+//! (touching only traces that contain a group class) and stop at the first
+//! instance that decides a strict verdict. Nothing is memoized across
+//! checks. The naive full-log scan survives as the
 //! [`CompiledConstraintSet::holds_scan`] /
 //! [`CompiledConstraintSet::check_instances_scan`] oracle used by the
 //! equivalence test suites and the scan-vs-indexed benchmarks; both paths
@@ -25,7 +23,6 @@ use gecco_eventlog::{
 };
 use std::collections::HashSet;
 use std::fmt;
-use std::fmt::Write as _;
 use std::ops::ControlFlow;
 
 /// Error raised when a specification does not fit the log.
@@ -103,12 +100,6 @@ pub struct CompiledConstraintSet {
     group_max: Option<u32>,
     mode: CheckingMode,
     segmenter: Segmenter,
-    /// Structural signature of this compilation (rendered constraints plus
-    /// segmenter), resolved to a verdict-cache token via
-    /// [`gecco_eventlog::InstanceCache::token_for`]. Re-compilations of an
-    /// identical specification share the signature, so memoized verdicts
-    /// stay hittable across pipeline runs over the same cache.
-    signature: String,
 }
 
 impl CompiledConstraintSet {
@@ -210,10 +201,6 @@ impl CompiledConstraintSet {
                 .map(|(_, _, m)| *m)
                 .chain(inst_checks.iter().map(|c| c.monotonicity)),
         );
-        let mut signature = format!("{segmenter:?}");
-        for constraint in spec.constraints() {
-            let _ = write!(signature, ";{constraint}");
-        }
         Ok(CompiledConstraintSet {
             spec: spec.clone(),
             class_checks,
@@ -222,7 +209,6 @@ impl CompiledConstraintSet {
             group_max,
             mode,
             segmenter,
-            signature,
         })
     }
 
@@ -257,12 +243,6 @@ impl CompiledConstraintSet {
     /// over the log per candidate).
     pub fn has_instance_constraints(&self) -> bool {
         !self.inst_checks.is_empty()
-    }
-
-    /// Structural signature of this compilation (verdict-cache key
-    /// component; equal for re-compilations of the same specification).
-    pub fn signature(&self) -> &str {
-        &self.signature
     }
 
     /// Checks `R_C` for one group; returns the spec index of the first
@@ -322,24 +302,6 @@ impl CompiledConstraintSet {
         }
         let mut acc = InstanceAccumulator::new(&active);
         let traces = ctx.log().traces();
-        // With a shared cache attached, materialize `inst(L, g)` once and
-        // reuse it for every constraint set evaluating the same group.
-        if let Some(cache) = ctx.cache() {
-            let cached = cache.get_or_insert_instances(group, self.segmenter, || {
-                let mut out = Vec::new();
-                let _: Option<()> = ctx.visit_instances(group, self.segmenter, |ti, inst| {
-                    out.push((ti as u32, inst));
-                    ControlFlow::Continue(())
-                });
-                out
-            });
-            for (ti, inst) in cached.iter() {
-                if let ControlFlow::Break(spec_index) = acc.feed(&traces[*ti as usize], inst) {
-                    return Err(spec_index);
-                }
-            }
-            return acc.finish();
-        }
         let early =
             ctx.visit_instances(group, self.segmenter, |ti, inst| acc.feed(&traces[ti], &inst));
         match early {
@@ -371,16 +333,12 @@ impl CompiledConstraintSet {
     }
 
     /// The full per-group `holds` predicate: `R_C` first, then `R_I`.
-    /// Verdicts are memoized in the context's shared cache (keyed by this
-    /// compilation's token) when one is attached.
     pub fn holds(&self, group: &ClassSet, ctx: &EvalContext<'_>) -> bool {
-        self.cached_verdict(ctx, group, VerdictKind::Full, |cs| {
-            cs.check_class(group, ctx).is_ok() && cs.check_instances(group, ctx).is_ok()
-        })
+        self.check_class(group, ctx).is_ok() && self.check_instances(group, ctx).is_ok()
     }
 
     /// Scan-oracle twin of [`Self::holds`]: evaluates against the raw log
-    /// with no index and no cache.
+    /// with no index.
     pub fn holds_scan(&self, group: &ClassSet, log: &EventLog) -> bool {
         self.check_class_filtered(group, log, |_| true).is_ok()
             && self.check_instances_scan(group, log).is_ok()
@@ -397,31 +355,9 @@ impl CompiledConstraintSet {
     /// fails any anti-monotonic constraint can never be repaired by growing
     /// it, while failures of monotonic/non-monotonic constraints can.
     pub fn holds_anti_monotonic(&self, group: &ClassSet, ctx: &EvalContext<'_>) -> bool {
-        self.cached_verdict(ctx, group, VerdictKind::AntiMonotonic, |cs| {
-            let anti = |m: Monotonicity| m == Monotonicity::AntiMonotonic;
-            cs.check_class_filtered(group, ctx.log(), anti).is_ok()
-                && cs.check_instances_filtered(group, ctx, anti).is_ok()
-        })
-    }
-
-    /// Memoizes a boolean verdict in the context's shared cache, if any.
-    fn cached_verdict(
-        &self,
-        ctx: &EvalContext<'_>,
-        group: &ClassSet,
-        kind: VerdictKind,
-        compute: impl FnOnce(&Self) -> bool,
-    ) -> bool {
-        let Some(cache) = ctx.cache() else {
-            return compute(self);
-        };
-        let key = (cache.token_for(&self.signature) << 1) | kind as u64;
-        if let Some(verdict) = cache.verdict(key, group) {
-            return verdict;
-        }
-        let verdict = compute(self);
-        cache.store_verdict(key, group, verdict);
-        verdict
+        let anti = |m: Monotonicity| m == Monotonicity::AntiMonotonic;
+        self.check_class_filtered(group, ctx.log(), anti).is_ok()
+            && self.check_instances_filtered(group, ctx, anti).is_ok()
     }
 
     /// All must-link pairs (needed by baselines that merge rather than
@@ -437,19 +373,10 @@ impl CompiledConstraintSet {
     }
 }
 
-/// Which verdict a cache entry stores; folded into the cache key next to
-/// the compilation token.
-#[derive(Debug, Clone, Copy)]
-enum VerdictKind {
-    Full = 0,
-    AntiMonotonic = 1,
-}
-
 /// The per-instance bookkeeping of `R_I` evaluation, shared by the indexed
-/// path, the cached path and the scan oracle so their verdicts cannot
-/// diverge: strict constraints (min_fraction ≥ 1) fail fast on the first
-/// violating instance, loose ones tally violations and compare fractions
-/// at the end.
+/// path and the scan oracle so their verdicts cannot diverge: strict
+/// constraints (min_fraction ≥ 1) fail fast on the first violating
+/// instance, loose ones tally violations and compare fractions at the end.
 struct InstanceAccumulator<'a, 'b> {
     active: &'a [&'b InstCheck],
     all_strict: bool,
@@ -839,34 +766,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shared_cache_reuses_instances_and_verdicts() {
-        let log = running_example();
-        let index = gecco_eventlog::LogIndex::build(&log);
-        let cache = gecco_eventlog::InstanceCache::new();
-        let ctx = EvalContext::with_cache(&log, &index, &cache);
-        let cs1 = compile(&log, "sum(\"duration\") >= 11;");
-        let cs2 = compile(&log, "avg(\"cost\") <= 400;");
-        assert_ne!(cs1.signature(), cs2.signature());
-        let g = group(&log, &["rcp", "ckc"]);
-        // First set materializes the instances; the second reuses them.
-        let v1 = cs1.holds(&g, &ctx);
-        let stats = cache.stats();
-        assert_eq!(stats.instance_entries, 1);
-        let v2 = cs2.holds(&g, &ctx);
-        let stats = cache.stats();
-        assert_eq!(stats.instance_entries, 1, "instances shared across constraint sets");
-        assert!(stats.instance_hits >= 1);
-        // Verdicts are per-set: re-asking either set hits the verdict cache
-        // and returns the stored (correct) answer.
-        let before = cache.stats().verdict_hits;
-        assert_eq!(cs1.holds(&g, &ctx), v1);
-        assert_eq!(cs2.holds(&g, &ctx), v2);
-        assert_eq!(cache.stats().verdict_hits, before + 2);
-        assert_eq!(v1, cs1.holds_scan(&g, &log));
-        assert_eq!(v2, cs2.holds_scan(&g, &log));
     }
 
     #[test]

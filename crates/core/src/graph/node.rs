@@ -35,12 +35,11 @@ impl<'a> From<Artifact<'a>> for NodeOutput<'a> {
 ///
 /// Nodes are `Send + Sync` because the executor runs the independent nodes
 /// of a scheduling wave in parallel under the `rayon` feature; anything a
-/// node needs beyond its input artifacts (compiled constraints, an
-/// [`gecco_eventlog::InstanceCache`], configuration) it captures at
-/// construction time. Results must not depend on execution order — the
-/// executor guarantees inputs arrive in edge-insertion order and commits
-/// outputs in node-id order, which keeps parallel runs bit-identical to
-/// serial ones.
+/// node needs beyond its input artifacts (compiled constraints,
+/// configuration) it captures at construction time. Results must not
+/// depend on execution order — the executor guarantees inputs arrive in
+/// edge-insertion order and commits outputs in node-id order, which keeps
+/// parallel runs bit-identical to serial ones.
 pub trait GraphNode<'a>: Send + Sync {
     /// A short label for validation errors and introspection.
     fn name(&self) -> &str;

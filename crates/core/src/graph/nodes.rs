@@ -17,17 +17,8 @@ use crate::selection::{
     select_optimal, select_optimal_colgen, use_column_generation, SelectionOptions,
 };
 use gecco_constraints::{CompiledConstraintSet, ConstraintSet, Diagnostics};
-use gecco_eventlog::{EvalContext, InstanceCache, Segmenter, TraceStore};
+use gecco_eventlog::{EvalContext, Segmenter, TraceStore};
 use std::sync::Arc;
-
-/// Builds the evaluation context a node shares with the linear pipeline:
-/// the artifact's log and index plus the optional caller-provided cache.
-fn context<'c>(input: &'c LogArtifact<'_>, cache: Option<&'c InstanceCache>) -> EvalContext<'c> {
-    match cache {
-        Some(cache) => EvalContext::with_cache(input.log(), input.index(), cache),
-        None => EvalContext::new(input.log(), input.index()),
-    }
-}
 
 /// A source node publishing a caller-supplied artifact — how a graph's
 /// external inputs (the log under abstraction, a precomputed candidate
@@ -112,33 +103,31 @@ impl<'a> GraphNode<'a> for StoreInputNode {
 
 /// Step 1 as a node: computes the candidate set of its input log with one
 /// of the paper's strategies (Algorithm 1 or 2).
-pub struct CandidateSourceNode<'a> {
+pub struct CandidateSourceNode {
     strategy: CandidateStrategy,
     budget: Budget,
     constraints: Arc<CompiledConstraintSet>,
-    cache: Option<&'a InstanceCache>,
     name: String,
 }
 
-impl<'a> CandidateSourceNode<'a> {
+impl CandidateSourceNode {
     /// Creates the node; `constraints` must be compiled against the log
     /// this node will receive.
     pub fn new(
         strategy: CandidateStrategy,
         budget: Budget,
         constraints: Arc<CompiledConstraintSet>,
-        cache: Option<&'a InstanceCache>,
-    ) -> CandidateSourceNode<'a> {
+    ) -> CandidateSourceNode {
         let name = match strategy {
             CandidateStrategy::Exhaustive => "candidates:exhaustive".to_string(),
             CandidateStrategy::DfgUnbounded => "candidates:dfg".to_string(),
             CandidateStrategy::DfgBeam { .. } => "candidates:dfg-beam".to_string(),
         };
-        CandidateSourceNode { strategy, budget, constraints, cache, name }
+        CandidateSourceNode { strategy, budget, constraints, name }
     }
 }
 
-impl<'a> GraphNode<'a> for CandidateSourceNode<'a> {
+impl<'a> GraphNode<'a> for CandidateSourceNode {
     fn name(&self) -> &str {
         &self.name
     }
@@ -153,7 +142,7 @@ impl<'a> GraphNode<'a> for CandidateSourceNode<'a> {
 
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
-        let ctx = context(input, self.cache);
+        let ctx = EvalContext::new(input.log(), input.index());
         let candidates = match self.strategy {
             CandidateStrategy::Exhaustive => {
                 exhaustive_candidates(&ctx, &self.constraints, self.budget)
@@ -172,24 +161,22 @@ impl<'a> GraphNode<'a> for CandidateSourceNode<'a> {
 /// The session-based segmentation scenario source: candidate groups are
 /// the class sets of gap- or attribute-window sessions (see
 /// [`crate::candidates::session`]).
-pub struct SessionCandidateSourceNode<'a> {
+pub struct SessionCandidateSourceNode {
     config: SessionConfig,
     constraints: Arc<CompiledConstraintSet>,
-    cache: Option<&'a InstanceCache>,
 }
 
-impl<'a> SessionCandidateSourceNode<'a> {
+impl SessionCandidateSourceNode {
     /// Creates the node.
     pub fn new(
         config: SessionConfig,
         constraints: Arc<CompiledConstraintSet>,
-        cache: Option<&'a InstanceCache>,
-    ) -> SessionCandidateSourceNode<'a> {
-        SessionCandidateSourceNode { config, constraints, cache }
+    ) -> SessionCandidateSourceNode {
+        SessionCandidateSourceNode { config, constraints }
     }
 }
 
-impl<'a> GraphNode<'a> for SessionCandidateSourceNode<'a> {
+impl<'a> GraphNode<'a> for SessionCandidateSourceNode {
     fn name(&self) -> &str {
         "candidates:session"
     }
@@ -204,7 +191,7 @@ impl<'a> GraphNode<'a> for SessionCandidateSourceNode<'a> {
 
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
-        let ctx = context(input, self.cache);
+        let ctx = EvalContext::new(input.log(), input.index());
         let candidates = session_candidates(&ctx, &self.constraints, &self.config);
         Ok(Artifact::Candidates(Arc::new(candidates)).into())
     }
@@ -213,22 +200,18 @@ impl<'a> GraphNode<'a> for SessionCandidateSourceNode<'a> {
 /// Algorithm 3 as a candidate-filter node: extends a candidate set with
 /// merged exclusive alternatives. The incoming distance memo passes
 /// through; the merged groups are scored in Step 2.
-pub struct ExclusiveMergeNode<'a> {
+pub struct ExclusiveMergeNode {
     constraints: Arc<CompiledConstraintSet>,
-    cache: Option<&'a InstanceCache>,
 }
 
-impl<'a> ExclusiveMergeNode<'a> {
+impl ExclusiveMergeNode {
     /// Creates the node.
-    pub fn new(
-        constraints: Arc<CompiledConstraintSet>,
-        cache: Option<&'a InstanceCache>,
-    ) -> ExclusiveMergeNode<'a> {
-        ExclusiveMergeNode { constraints, cache }
+    pub fn new(constraints: Arc<CompiledConstraintSet>) -> ExclusiveMergeNode {
+        ExclusiveMergeNode { constraints }
     }
 }
 
-impl<'a> GraphNode<'a> for ExclusiveMergeNode<'a> {
+impl<'a> GraphNode<'a> for ExclusiveMergeNode {
     fn name(&self) -> &str {
         "filter:exclusive-merge"
     }
@@ -243,7 +226,7 @@ impl<'a> GraphNode<'a> for ExclusiveMergeNode<'a> {
 
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
-        let ctx = context(input, self.cache);
+        let ctx = EvalContext::new(input.log(), input.index());
         let mut candidates = inputs[1].as_candidates().expect("validated port").clone();
         extend_with_exclusive_candidates(&ctx, &self.constraints, &mut candidates);
         Ok(Artifact::Candidates(Arc::new(candidates)).into())
@@ -292,26 +275,24 @@ impl<'a> GraphNode<'a> for UnionCandidatesNode {
 /// [`super::EdgeCond::IfKind`] edges to route the two cases. Its oracle
 /// starts from the candidates' distance memo when that was scored under
 /// the node's segmenter.
-pub struct SelectorNode<'a> {
+pub struct SelectorNode {
     constraints: Arc<CompiledConstraintSet>,
     segmenter: Segmenter,
     options: SelectionOptions,
-    cache: Option<&'a InstanceCache>,
 }
 
-impl<'a> SelectorNode<'a> {
+impl SelectorNode {
     /// Creates the node.
     pub fn new(
         constraints: Arc<CompiledConstraintSet>,
         segmenter: Segmenter,
         options: SelectionOptions,
-        cache: Option<&'a InstanceCache>,
-    ) -> SelectorNode<'a> {
-        SelectorNode { constraints, segmenter, options, cache }
+    ) -> SelectorNode {
+        SelectorNode { constraints, segmenter, options }
     }
 }
 
-impl<'a> GraphNode<'a> for SelectorNode<'a> {
+impl<'a> GraphNode<'a> for SelectorNode {
     fn name(&self) -> &str {
         "selector"
     }
@@ -327,7 +308,7 @@ impl<'a> GraphNode<'a> for SelectorNode<'a> {
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
         let candidates = inputs[1].as_candidates().expect("validated port");
-        let ctx = context(input, self.cache);
+        let ctx = EvalContext::new(input.log(), input.index());
         let oracle = DistanceOracle::seeded(&ctx, self.segmenter, candidates.distances());
         let selected = if use_column_generation(&self.options, input.log(), input.index()) {
             select_optimal_colgen(
@@ -355,26 +336,24 @@ impl<'a> GraphNode<'a> for SelectorNode<'a> {
 
 /// Step 3 as a node: rewrites the incoming log under the incoming
 /// selection, yielding the abstracted log with its spliced index.
-pub struct AbstractorNode<'a> {
+pub struct AbstractorNode {
     strategy: AbstractionStrategy,
     segmenter: Segmenter,
     label_attribute: Option<String>,
-    cache: Option<&'a InstanceCache>,
 }
 
-impl<'a> AbstractorNode<'a> {
+impl AbstractorNode {
     /// Creates the node.
     pub fn new(
         strategy: AbstractionStrategy,
         segmenter: Segmenter,
         label_attribute: Option<String>,
-        cache: Option<&'a InstanceCache>,
-    ) -> AbstractorNode<'a> {
-        AbstractorNode { strategy, segmenter, label_attribute, cache }
+    ) -> AbstractorNode {
+        AbstractorNode { strategy, segmenter, label_attribute }
     }
 }
 
-impl<'a> GraphNode<'a> for AbstractorNode<'a> {
+impl<'a> GraphNode<'a> for AbstractorNode {
     fn name(&self) -> &str {
         "abstractor"
     }
@@ -390,7 +369,7 @@ impl<'a> GraphNode<'a> for AbstractorNode<'a> {
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
         let selection = inputs[1].as_selection().expect("validated port");
-        let ctx = context(input, self.cache);
+        let ctx = EvalContext::new(input.log(), input.index());
         let names =
             activity_names(input.log(), &selection.grouping, self.label_attribute.as_deref());
         let (log, index) =
@@ -410,22 +389,18 @@ impl<'a> GraphNode<'a> for AbstractorNode<'a> {
 /// The diagnostics emitter infeasible selections route to: probes the
 /// constraints against the log (§V-C "indicates possible causes") and
 /// renders the same report the linear pipeline returns.
-pub struct DiagnosticsNode<'a> {
+pub struct DiagnosticsNode {
     constraints: Arc<CompiledConstraintSet>,
-    cache: Option<&'a InstanceCache>,
 }
 
-impl<'a> DiagnosticsNode<'a> {
+impl DiagnosticsNode {
     /// Creates the node.
-    pub fn new(
-        constraints: Arc<CompiledConstraintSet>,
-        cache: Option<&'a InstanceCache>,
-    ) -> DiagnosticsNode<'a> {
-        DiagnosticsNode { constraints, cache }
+    pub fn new(constraints: Arc<CompiledConstraintSet>) -> DiagnosticsNode {
+        DiagnosticsNode { constraints }
     }
 }
 
-impl<'a> GraphNode<'a> for DiagnosticsNode<'a> {
+impl<'a> GraphNode<'a> for DiagnosticsNode {
     fn name(&self) -> &str {
         "diagnostics"
     }
@@ -441,7 +416,7 @@ impl<'a> GraphNode<'a> for DiagnosticsNode<'a> {
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
         let candidates = inputs[1].as_candidates().expect("validated port");
-        let ctx = context(input, self.cache);
+        let ctx = EvalContext::new(input.log(), input.index());
         let diagnostics = Diagnostics::probe(&self.constraints, &ctx);
         let summary = format!(
             "no feasible grouping over {} candidates (checked {} groups{}).\n{}",
@@ -461,10 +436,10 @@ impl<'a> GraphNode<'a> for DiagnosticsNode<'a> {
 
 /// One full abstraction pass as a node: takes a log, runs the default
 /// single-pass graph over it (via [`crate::Gecco::run`]) under its own
-/// constraint set and a fresh per-pass [`InstanceCache`], and emits the
-/// resulting log — unchanged when the pass is infeasible, exactly like the
-/// linear loop of [`crate::run_multipass`]. A [`PassReport`] rides along
-/// as the node's report.
+/// constraint set, and emits the resulting log — unchanged when the pass
+/// is infeasible, exactly like the linear loop of
+/// [`crate::run_multipass`]. A [`PassReport`] rides along as the node's
+/// report.
 pub struct PassNode<F> {
     pass: usize,
     constraints: ConstraintSet,
@@ -501,14 +476,9 @@ where
 
     fn run(&self, inputs: &[Artifact<'a>]) -> Result<NodeOutput<'a>, GeccoError> {
         let input = inputs[0].as_log().expect("validated port");
-        // Fresh per-pass cache: cache keys carry no log identity, so a
-        // cache shared across passes would mix instances of different logs
-        // (same rationale as the linear loop).
-        let pass_cache = InstanceCache::new();
         let outcome = (self.configure)(crate::Gecco::new(input.log()))
             .constraints(self.constraints.clone())
             .with_index(input.index())
-            .instance_cache(&pass_cache)
             .run()?;
         Ok(match outcome {
             crate::Outcome::Abstracted(result) => {
@@ -582,24 +552,20 @@ mod tests {
             CandidateStrategy::DfgUnbounded,
             Budget::UNLIMITED,
             Arc::clone(&compiled),
-            None,
         ));
         let session = graph.add_node(SessionCandidateSourceNode::new(
             SessionConfig::gap(1_000),
             Arc::clone(&compiled),
-            None,
         ));
         let union = graph.add_node(UnionCandidatesNode);
         let selector = graph.add_node(SelectorNode::new(
             Arc::clone(&compiled),
             Segmenter::RepeatSplit,
             SelectionOptions::default(),
-            None,
         ));
         let abstractor = graph.add_node(AbstractorNode::new(
             AbstractionStrategy::Completion,
             Segmenter::RepeatSplit,
-            None,
             None,
         ));
         graph.add_edge(input, dfg);
@@ -640,7 +606,6 @@ mod tests {
                 strategy,
                 Budget::UNLIMITED,
                 Arc::clone(&compiled),
-                None,
             ));
             let union = graph.add_node(UnionCandidatesNode);
             graph.add_edge(input, source);
@@ -688,13 +653,11 @@ mod tests {
             CandidateStrategy::DfgUnbounded,
             Budget::UNLIMITED,
             Arc::clone(&compiled),
-            None,
         ));
         let selector = graph.add_node(SelectorNode::new(
             Arc::clone(&compiled),
             Segmenter::NoSplit,
             SelectionOptions::default(),
-            None,
         ));
         graph.add_edge(input, source);
         graph.add_edge(input, selector);
@@ -762,7 +725,6 @@ mod tests {
                 )
                 .unwrap(),
             ),
-            None,
         ));
         graph.add_edge(input, dfg);
         let run = graph.execute().unwrap();

@@ -25,7 +25,7 @@ use crate::selection::{
     select_optimal, select_optimal_colgen, use_column_generation, SelectionOptions,
 };
 use gecco_constraints::{CompileError, CompiledConstraintSet, ConstraintSet, Diagnostics};
-use gecco_eventlog::{EvalContext, EventLog, InstanceCache, LogIndex, Segmenter};
+use gecco_eventlog::{EvalContext, EventLog, LogIndex, Segmenter};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -200,7 +200,6 @@ pub struct Gecco<'a> {
     merge_exclusive: bool,
     label_attribute: Option<String>,
     index: Option<&'a LogIndex>,
-    instance_cache: Option<&'a InstanceCache>,
 }
 
 impl<'a> Gecco<'a> {
@@ -218,7 +217,6 @@ impl<'a> Gecco<'a> {
             merge_exclusive: true,
             label_attribute: None,
             index: None,
-            instance_cache: None,
         }
     }
 
@@ -281,15 +279,6 @@ impl<'a> Gecco<'a> {
         self
     }
 
-    /// Attaches a shared [`InstanceCache`]: materialized group instances
-    /// are reused across candidates and — because instances depend only on
-    /// the group and segmenter — across every run over the same log, and
-    /// `holds` verdicts are memoized per compiled constraint set.
-    pub fn instance_cache(mut self, cache: &'a InstanceCache) -> Self {
-        self.instance_cache = Some(cache);
-        self
-    }
-
     /// Runs the three steps **linearly** with a custom Step-1 observer
     /// (used to render the paper's Figure 5).
     ///
@@ -303,8 +292,7 @@ impl<'a> Gecco<'a> {
             CompiledConstraintSet::compile_with(&self.constraints, self.log, self.segmenter)?;
 
         // The evaluation context every step shares: the log's occurrence
-        // index (built once per run unless the caller provides one) plus
-        // the optional cross-run instance/verdict cache.
+        // index, built once per run unless the caller provides one.
         let owned_index;
         let index: &LogIndex = match self.index {
             Some(index) => index,
@@ -313,10 +301,7 @@ impl<'a> Gecco<'a> {
                 &owned_index
             }
         };
-        let ctx = match self.instance_cache {
-            Some(cache) => EvalContext::with_cache(self.log, index, cache),
-            None => EvalContext::new(self.log, index),
-        };
+        let ctx = EvalContext::new(self.log, index);
 
         // Step 1: candidate computation.
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
@@ -435,7 +420,6 @@ impl<'a> Gecco<'a> {
                 &owned_index
             }
         };
-        let cache = self.instance_cache;
 
         let mut graph = PipelineGraph::new();
         let input = graph.add_node(InputNode::new(Artifact::log(self.log, index)));
@@ -443,11 +427,10 @@ impl<'a> Gecco<'a> {
             self.strategy,
             self.budget,
             Arc::clone(&compiled),
-            cache,
         ));
         graph.add_edge(input, source);
         let (candidates, merge) = if self.merge_exclusive {
-            let merge = graph.add_node(ExclusiveMergeNode::new(Arc::clone(&compiled), cache));
+            let merge = graph.add_node(ExclusiveMergeNode::new(Arc::clone(&compiled)));
             graph.add_edge(input, merge);
             graph.add_edge(source, merge);
             (merge, Some(merge))
@@ -458,7 +441,6 @@ impl<'a> Gecco<'a> {
             Arc::clone(&compiled),
             self.segmenter,
             self.selection,
-            cache,
         ));
         graph.add_edge(input, selector);
         graph.add_edge(candidates, selector);
@@ -466,11 +448,10 @@ impl<'a> Gecco<'a> {
             self.abstraction,
             self.segmenter,
             self.label_attribute,
-            cache,
         ));
         graph.add_edge(input, abstractor);
         graph.add_edge_when(selector, abstractor, EdgeCond::IfKind(ArtifactKind::Selection));
-        let diagnostics = graph.add_node(DiagnosticsNode::new(Arc::clone(&compiled), cache));
+        let diagnostics = graph.add_node(DiagnosticsNode::new(Arc::clone(&compiled)));
         graph.add_edge(input, diagnostics);
         graph.add_edge(candidates, diagnostics);
         graph.add_edge_when(selector, diagnostics, EdgeCond::IfKind(ArtifactKind::Infeasible));
@@ -576,14 +557,10 @@ impl MultiPassResult {
 /// survives as [`run_multipass_linear`], the bit-identity oracle.
 ///
 /// `configure` customizes each pass's [`Gecco`] builder (strategy, budget,
-/// labeling, …); the pass's constraint set, index and a fresh per-pass
-/// [`InstanceCache`] are applied afterwards and take precedence. The cache
-/// override is deliberate: cache keys carry no log identity, so a cache
-/// attached in `configure` would leak instances materialized from one
-/// pass's log into the next pass's different log — each pass instead
-/// shares instances across its own candidates only. Infeasible passes are
-/// recorded and skipped — the log carries over unchanged, matching the
-/// single-run behavior of returning the initial log (§V-C).
+/// labeling, …); the pass's constraint set and index are applied afterwards
+/// and take precedence. Infeasible passes are recorded and skipped — the
+/// log carries over unchanged, matching the single-run behavior of
+/// returning the initial log (§V-C).
 pub fn run_multipass(
     log: &EventLog,
     constraint_sets: &[ConstraintSet],
@@ -630,11 +607,9 @@ pub fn run_multipass_linear(
                 (log, idx)
             }
         };
-        let pass_cache = InstanceCache::new();
         let outcome = configure(Gecco::new(pass_log))
             .constraints(constraints.clone())
             .with_index(pass_index)
-            .instance_cache(&pass_cache)
             .run_linear()?;
         match outcome {
             Outcome::Abstracted(result) => {
@@ -702,8 +677,7 @@ impl BranchOutcome {
 /// runs.
 ///
 /// `configure` plays the same role as in [`run_multipass`] and is applied
-/// to every branch; each branch gets a fresh per-branch [`InstanceCache`].
-/// An infeasible branch yields the input log unchanged with
+/// to every branch. An infeasible branch yields the input log unchanged with
 /// `report.feasible == false` rather than failing the whole fan-out.
 pub fn run_fanout(
     log: &EventLog,

@@ -3,16 +3,14 @@
 //! The `LogIndex` k-way-merge materialization, the `EvalContext` instance
 //! APIs, indexed constraint checking and indexed distance scoring must all
 //! be **bit-identical** to the naive full-log scan, on arbitrary logs, for
-//! arbitrary groups, under both `Segmenter` modes, with and without a
-//! shared `InstanceCache` — and under the `rayon` feature (CI runs this
-//! suite with `--features rayon`, where candidate checks and distance
-//! accumulation fan out over worker threads).
+//! arbitrary groups, under both `Segmenter` modes — and under the `rayon`
+//! feature (CI runs this suite with `--features rayon`, where candidate
+//! checks and distance accumulation fan out over worker threads).
 
 use gecco_constraints::{CompiledConstraintSet, ConstraintSet};
 use gecco_core::{group_distance, group_distance_scan, group_distances};
 use gecco_eventlog::{
-    instances, log_instances, ClassSet, EvalContext, EventLog, InstanceCache, LogBuilder, LogIndex,
-    Segmenter,
+    instances, log_instances, ClassSet, EvalContext, EventLog, LogBuilder, LogIndex, Segmenter,
 };
 use proptest::prelude::*;
 
@@ -100,9 +98,7 @@ proptest! {
     #[test]
     fn indexed_verdicts_match_scan(log in arb_log()) {
         let index = LogIndex::build(&log);
-        let cache = InstanceCache::new();
-        let plain = EvalContext::new(&log, &index);
-        let cached = EvalContext::with_cache(&log, &index, &cache);
+        let ctx = EvalContext::new(&log, &index);
         let groups = all_groups(&log);
         for (dsl, segmenter) in CONSTRAINT_SETS
             .iter()
@@ -116,16 +112,9 @@ proptest! {
             };
             for group in &groups {
                 let scan = cs.check_instances_scan(group, &log);
-                prop_assert_eq!(cs.check_instances(group, &plain), scan,
+                prop_assert_eq!(cs.check_instances(group, &ctx), scan,
                     "indexed check diverges: {} on {:?}", dsl, group);
-                prop_assert_eq!(cs.check_instances(group, &cached), scan,
-                    "cached check diverges: {} on {:?}", dsl, group);
-                let holds_scan = cs.holds_scan(group, &log);
-                prop_assert_eq!(cs.holds(group, &plain), holds_scan);
-                // Twice through the cached context: second hit is a pure
-                // verdict-cache lookup and must agree too.
-                prop_assert_eq!(cs.holds(group, &cached), holds_scan);
-                prop_assert_eq!(cs.holds(group, &cached), holds_scan);
+                prop_assert_eq!(cs.holds(group, &ctx), cs.holds_scan(group, &log));
             }
         }
     }

@@ -1,5 +1,4 @@
-//! Indexed instance materialization: [`LogIndex`], [`EvalContext`] and
-//! [`InstanceCache`].
+//! Indexed instance materialization: [`LogIndex`] and [`EvalContext`].
 //!
 //! GECCO's Step-1 search checks thousands of candidate groups against the
 //! log, and the naive [`crate::instances()`] scan walks every event of every
@@ -17,11 +16,11 @@
 //! same [`GroupInstance`]s (asserted by the `index_equivalence` proptest
 //! suite in `gecco-core`, which also covers the `rayon` feature).
 //!
-//! [`EvalContext`] bundles the log, its index, reusable scratch buffers and
-//! an optional shared [`InstanceCache`] — the unit that constraint
-//! evaluation and candidate computation thread through the stack. Contexts
-//! are cheap to create; parallel workers build one each from
-//! [`EvalContext::parts`] so every thread gets its own scratch.
+//! [`EvalContext`] bundles the log, its index and reusable scratch buffers
+//! — the unit that constraint evaluation and candidate computation thread
+//! through the stack. It holds nothing that grows with the groups it
+//! evaluates. Contexts are cheap to create; parallel workers build one each
+//! from [`EvalContext::parts`] so every thread gets its own scratch.
 //!
 //! Two further consumers of the postings live here: [`LogIndex::occurs`]
 //! answers the `occurs(g, L)` co-occurrence test of Algorithms 1/2 by
@@ -38,10 +37,7 @@ use crate::instances::{GroupInstance, Segmenter};
 use crate::log::EventLog;
 use crate::trace::Trace;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
 
 /// One run of a class's postings: all its occurrences in one trace,
 /// slicing `start .. start + len` of the flat position array.
@@ -512,24 +508,17 @@ struct Scratch {
 pub struct ContextParts<'a> {
     log: &'a EventLog,
     index: &'a LogIndex,
-    cache: Option<&'a InstanceCache>,
 }
 
 impl<'a> ContextParts<'a> {
     /// Builds a fresh context (new scratch) over the shared parts.
     pub fn context(&self) -> EvalContext<'a> {
-        EvalContext {
-            log: self.log,
-            index: self.index,
-            cache: self.cache,
-            scratch: RefCell::default(),
-        }
+        EvalContext { log: self.log, index: self.index, scratch: RefCell::default() }
     }
 }
 
 /// Everything constraint evaluation needs for one log: the log itself, its
-/// [`LogIndex`], per-context scratch buffers, and an optional shared
-/// [`InstanceCache`].
+/// [`LogIndex`] and per-context scratch buffers.
 ///
 /// Not `Sync` (the scratch is a [`RefCell`]); parallel code clones
 /// [`EvalContext::parts`] across threads and builds one context per worker.
@@ -537,12 +526,11 @@ impl<'a> ContextParts<'a> {
 pub struct EvalContext<'a> {
     log: &'a EventLog,
     index: &'a LogIndex,
-    cache: Option<&'a InstanceCache>,
     scratch: RefCell<Scratch>,
 }
 
 impl<'a> EvalContext<'a> {
-    /// Creates a context without a shared cache.
+    /// Creates a context over `log` and its `index`.
     ///
     /// # Panics
     /// In debug builds, panics if `index` is inconsistent with `log` (see
@@ -557,23 +545,7 @@ impl<'a> EvalContext<'a> {
         if let Err(e) = index.validate(log) {
             panic!("EvalContext: index does not match the log ({e})");
         }
-        EvalContext { log, index, cache: None, scratch: RefCell::default() }
-    }
-
-    /// Creates a context sharing `cache` across candidates (and, via the
-    /// constraint-set tokens, across constraint sets). The cache must only
-    /// ever be shared between contexts over the *same* log — its keys
-    /// carry no log identity.
-    pub fn with_cache(
-        log: &'a EventLog,
-        index: &'a LogIndex,
-        cache: &'a InstanceCache,
-    ) -> EvalContext<'a> {
-        #[cfg(debug_assertions)]
-        if let Err(e) = index.validate(log) {
-            panic!("EvalContext: index does not match the log ({e})");
-        }
-        EvalContext { log, index, cache: Some(cache), scratch: RefCell::default() }
+        EvalContext { log, index, scratch: RefCell::default() }
     }
 
     /// The underlying log.
@@ -586,12 +558,6 @@ impl<'a> EvalContext<'a> {
     #[inline]
     pub fn index(&self) -> &'a LogIndex {
         self.index
-    }
-
-    /// The shared cache, if one is attached.
-    #[inline]
-    pub fn cache(&self) -> Option<&'a InstanceCache> {
-        self.cache
     }
 
     /// Adaptive `occurs(g, L)` over this context's log.
@@ -618,7 +584,7 @@ impl<'a> EvalContext<'a> {
     /// The shared (thread-safe) parts, for fanning work out over threads.
     #[inline]
     pub fn parts(&self) -> ContextParts<'a> {
-        ContextParts { log: self.log, index: self.index, cache: self.cache }
+        ContextParts { log: self.log, index: self.index }
     }
 
     /// Visits `inst(L, g)` — every `(trace index, instance)` pair, in
@@ -761,154 +727,6 @@ fn segment_merged<B>(
         emit(GroupInstance::from_parts(current_positions, distinct))?;
     }
     ControlFlow::Continue(())
-}
-
-/// Materialized instances of one group: `(trace index, instance)` pairs in
-/// scan order.
-pub type CachedInstances = Arc<Vec<(u32, GroupInstance)>>;
-
-/// Cross-candidate, cross-constraint-set evaluation cache keyed by
-/// [`ClassSet`].
-///
-/// Two tiers:
-///
-/// * **instances** — `inst(L, g)` depends only on the group and the
-///   segmenter, so materialized instances are shared across *all*
-///   constraint sets evaluated over the same log;
-/// * **verdicts** — boolean `holds` results are only valid for one
-///   compiled constraint set, so they are additionally keyed by the
-///   caller-supplied token (see `CompiledConstraintSet` in
-///   `gecco-constraints`, which derives a unique token per compilation).
-///
-/// Thread-safe (`RwLock` + atomic hit counters): one cache may serve
-/// parallel candidate-check workers and successive pipeline runs alike.
-#[derive(Debug, Default)]
-pub struct InstanceCache {
-    instances: RwLock<HashMap<(ClassSet, Segmenter), CachedInstances>>,
-    verdicts: RwLock<HashMap<(u64, ClassSet), bool>>,
-    /// Structural signature → verdict-token assignment. Two compilations
-    /// of the *same* constraint set resolve to the same token, so verdicts
-    /// stay hittable across pipeline runs that re-compile their DSL.
-    tokens: RwLock<HashMap<String, u64>>,
-    instance_hits: AtomicUsize,
-    instance_misses: AtomicUsize,
-    verdict_hits: AtomicUsize,
-    verdict_misses: AtomicUsize,
-}
-
-/// Point-in-time usage counters of an [`InstanceCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Materialized instance entries.
-    pub instance_entries: usize,
-    /// Stored verdicts.
-    pub verdict_entries: usize,
-    /// Instance lookups answered from the cache.
-    pub instance_hits: usize,
-    /// Instance lookups that had to materialize.
-    pub instance_misses: usize,
-    /// Verdict lookups answered from the cache.
-    pub verdict_hits: usize,
-    /// Verdict lookups that had to evaluate.
-    pub verdict_misses: usize,
-}
-
-impl InstanceCache {
-    /// Creates an empty cache.
-    pub fn new() -> InstanceCache {
-        InstanceCache::default()
-    }
-
-    /// The materialized instances of `(group, segmenter)`, if cached.
-    pub fn instances(&self, group: &ClassSet, segmenter: Segmenter) -> Option<CachedInstances> {
-        let hit = self
-            .instances
-            .read()
-            .expect("instance cache lock poisoned")
-            .get(&(*group, segmenter))
-            .cloned();
-        match hit {
-            Some(v) => {
-                self.instance_hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.instance_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Returns the cached instances of `(group, segmenter)`, materializing
-    /// via `build` on a miss. Concurrent misses may build twice; the result
-    /// is identical either way and one copy wins.
-    pub fn get_or_insert_instances(
-        &self,
-        group: &ClassSet,
-        segmenter: Segmenter,
-        build: impl FnOnce() -> Vec<(u32, GroupInstance)>,
-    ) -> CachedInstances {
-        if let Some(hit) = self.instances(group, segmenter) {
-            return hit;
-        }
-        let built: CachedInstances = Arc::new(build());
-        let mut map = self.instances.write().expect("instance cache lock poisoned");
-        map.entry((*group, segmenter)).or_insert(built).clone()
-    }
-
-    /// Resolves a caller-supplied structural signature (e.g. a rendered
-    /// constraint set plus its segmenter) to a stable token for
-    /// [`Self::verdict`]/[`Self::store_verdict`]. Equal signatures always
-    /// resolve to the same token within one cache, so verdicts survive
-    /// re-compilation of an identical specification.
-    pub fn token_for(&self, signature: &str) -> u64 {
-        if let Some(&t) = self.tokens.read().expect("token map lock poisoned").get(signature) {
-            return t;
-        }
-        let mut map = self.tokens.write().expect("token map lock poisoned");
-        let next = map.len() as u64;
-        *map.entry(signature.to_string()).or_insert(next)
-    }
-
-    /// The stored verdict for `(token, group)`, if any.
-    pub fn verdict(&self, token: u64, group: &ClassSet) -> Option<bool> {
-        let hit = self
-            .verdicts
-            .read()
-            .expect("verdict cache lock poisoned")
-            .get(&(token, *group))
-            .copied();
-        match hit {
-            Some(v) => {
-                self.verdict_hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.verdict_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a verdict for `(token, group)`.
-    pub fn store_verdict(&self, token: u64, group: &ClassSet, verdict: bool) {
-        self.verdicts
-            .write()
-            .expect("verdict cache lock poisoned")
-            .insert((token, *group), verdict);
-    }
-
-    /// Current usage counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            instance_entries: self.instances.read().expect("lock poisoned").len(),
-            verdict_entries: self.verdicts.read().expect("lock poisoned").len(),
-            instance_hits: self.instance_hits.load(Ordering::Relaxed),
-            instance_misses: self.instance_misses.load(Ordering::Relaxed),
-            verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
-            verdict_misses: self.verdict_misses.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1064,35 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_shares_instances_and_verdicts() {
-        let log = log_from(&[&["a", "b"], &["b"]]);
-        let index = LogIndex::build(&log);
-        let cache = InstanceCache::new();
-        let ctx = EvalContext::with_cache(&log, &index, &cache);
-        let g = group(&log, &["a", "b"]);
-        let build = || {
-            ctx.log_instances(&g, Segmenter::RepeatSplit)
-                .into_iter()
-                .map(|(ti, inst)| (ti as u32, inst))
-                .collect::<Vec<_>>()
-        };
-        let first = cache.get_or_insert_instances(&g, Segmenter::RepeatSplit, build);
-        let second = cache.get_or_insert_instances(&g, Segmenter::RepeatSplit, || {
-            panic!("second lookup must hit the cache")
-        });
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.verdict(7, &g), None);
-        cache.store_verdict(7, &g, true);
-        assert_eq!(cache.verdict(7, &g), Some(true));
-        assert_eq!(cache.verdict(8, &g), None, "tokens separate constraint sets");
-        let stats = cache.stats();
-        assert_eq!(stats.instance_entries, 1);
-        assert_eq!(stats.verdict_entries, 1);
-        assert!(stats.instance_hits >= 1 && stats.instance_misses >= 1);
-        assert!(stats.verdict_hits >= 1 && stats.verdict_misses >= 2);
-    }
-
-    #[test]
     fn parts_rebuild_equivalent_contexts() {
         let log = log_from(&[&["a", "b", "a"]]);
         let index = LogIndex::build(&log);
@@ -1103,6 +892,5 @@ mod tests {
             ctx.log_instances(&g, Segmenter::RepeatSplit),
             forked.log_instances(&g, Segmenter::RepeatSplit)
         );
-        assert!(forked.cache().is_none());
     }
 }

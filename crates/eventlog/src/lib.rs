@@ -7,9 +7,9 @@
 //! * a per-log [`Interner`] so classes, attribute keys and string values are
 //!   compared as `u32`s on the hot paths,
 //! * the [`ClassSet`] bitset used to represent groups of event classes,
-//! * the per-class occurrence [`LogIndex`] with its [`EvalContext`] and the
-//!   shared [`InstanceCache`], which make instance materialization
-//!   proportional to a group's own occurrences instead of the log size,
+//! * the per-class occurrence [`LogIndex`] with its [`EvalContext`], which
+//!   make instance materialization proportional to a group's own
+//!   occurrences instead of the log size,
 //! * the directly-follows graph ([`Dfg`]) over event classes,
 //! * trace [`variants`] and summary [`stats`],
 //! * a hand-rolled [XES](crate::xes) reader/writer (own zero-copy XML pull
@@ -45,9 +45,7 @@ pub use classes::{ClassId, ClassInfo, ClassRegistry, ClassSet, MAX_CLASSES};
 pub use dfg::Dfg;
 pub use error::{Error, Result};
 pub use event::Event;
-pub use index::{
-    CacheStats, CachedInstances, ContextParts, EvalContext, IndexSplicer, InstanceCache, LogIndex,
-};
+pub use index::{ContextParts, EvalContext, IndexSplicer, LogIndex};
 pub use instances::{instances, log_instances, GroupInstance, Segmenter};
 pub use interner::{Interner, Symbol};
 pub use log::{EventLog, FragmentTrace, LogBuilder, LogFragment, TraceBuilder};

@@ -42,30 +42,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CandidateStrategy::DfgUnbounded,
         Budget::UNLIMITED,
         Arc::clone(&compiled),
-        None,
     ));
     // Sessions: a burst of events separated by ≥ 30 minutes of inactivity
     // is offered as one candidate group.
     let session = graph.add_node(SessionCandidateSourceNode::new(
         SessionConfig::gap(30 * 60 * 1000),
         Arc::clone(&compiled),
-        None,
     ));
     let union = graph.add_node(UnionCandidatesNode);
-    let exclusive = graph.add_node(ExclusiveMergeNode::new(Arc::clone(&compiled), None));
+    let exclusive = graph.add_node(ExclusiveMergeNode::new(Arc::clone(&compiled)));
     let selector = graph.add_node(SelectorNode::new(
         Arc::clone(&compiled),
         Segmenter::RepeatSplit,
         SelectionOptions::default(),
-        None,
     ));
     let abstractor = graph.add_node(AbstractorNode::new(
         AbstractionStrategy::Completion,
         Segmenter::RepeatSplit,
         Some("org:role".to_string()),
-        None,
     ));
-    let diagnostics = graph.add_node(DiagnosticsNode::new(Arc::clone(&compiled), None));
+    let diagnostics = graph.add_node(DiagnosticsNode::new(Arc::clone(&compiled)));
 
     graph.add_edge(input, dfg);
     graph.add_edge(input, session);
