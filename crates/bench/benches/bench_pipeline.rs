@@ -1,11 +1,9 @@
-//! End-to-end pipeline routes: the graph executor vs the linear oracle on
-//! a single pass, and the multi-branch fan-out serial vs parallel.
+//! End-to-end pipeline runs: one `Gecco::run` pass, and the multi-branch
+//! fan-out serial vs parallel.
 //!
-//! The graph route must cost no more than artifact bookkeeping over the
-//! linear chain (the steps themselves are identical code), and a fan-out's
-//! parallel speed-up must come with bit-identical outputs — the
-//! `graph_equivalence` suite asserts the identity, this bench watches the
-//! overhead.
+//! A fan-out's parallel speed-up must come with bit-identical outputs —
+//! gecco-core's `parallel_equivalence` suite asserts the identity, this
+//! bench watches the speed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gecco_constraints::ConstraintSet;
@@ -23,24 +21,23 @@ fn bench_pipeline(c: &mut Criterion) {
     let log = loan_log(40, 4);
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(5);
-    for (label, graph_route) in [("linear", false), ("graph", true)] {
-        group.bench_with_input(BenchmarkId::new("single_pass", label), &graph_route, |b, &g| {
-            b.iter(|| {
-                let gecco = Gecco::new(&log)
-                    .constraints(role_constraints())
-                    .candidates(CandidateStrategy::DfgUnbounded)
-                    .label_by("org:role");
-                if g { gecco.run() } else { gecco.run_linear() }.unwrap()
-            })
-        });
-    }
+    group.bench_function("single_pass", |b| {
+        b.iter(|| {
+            Gecco::new(&log)
+                .constraints(role_constraints())
+                .candidates(CandidateStrategy::DfgUnbounded)
+                .label_by("org:role")
+                .run()
+                .unwrap()
+        })
+    });
     // A three-branch fan-out: independent constraint formulations abstract
-    // the same log in one executor wave. Under the `rayon` feature (on by
+    // the same log through one `par_map`. Under the `rayon` feature (on by
     // default here) the branches spread over cores; serial mode pins the
     // baseline. On a single-core host both configurations coincide.
     // Every branch keeps the role cap: without it the candidate pool (and
-    // the selection MIP) explodes and the bench stops measuring executor
-    // overhead.
+    // the selection MIP) explodes and the bench stops measuring the
+    // fan-out.
     let sets = vec![
         role_constraints(),
         ConstraintSet::parse("size(g) <= 2; distinct(instance, \"org:role\") <= 1;").unwrap(),

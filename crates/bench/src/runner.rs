@@ -108,9 +108,7 @@ pub fn run_gecco(log: &EventLog, dsl: &str, config: RunConfig) -> Result<Problem
 /// Like [`run_gecco`], but reuses a [`LogSession`], so the log index is
 /// built once per log rather than once per constraint set.
 ///
-/// Both entry points call [`Gecco::run`], which since the pipeline-as-graph
-/// refactor drives the `gecco_core::graph` DAG executor — bit-identical to
-/// the linear oracle, so every number the harness reports is unchanged.
+/// Both entry points call [`Gecco::run`].
 pub fn run_gecco_shared(
     session: &LogSession<'_>,
     dsl: &str,

@@ -116,7 +116,7 @@ pub struct CandidateStats {
 impl CandidateStats {
     /// Adds `other`'s counters to these field by field (`budget_exhausted`
     /// ORs) — how a union of candidate sets reports its sources.
-    pub(crate) fn accumulate(&mut self, other: &CandidateStats) {
+    fn accumulate(&mut self, other: &CandidateStats) {
         // Destructured without `..`: a new field must be added here.
         let CandidateStats {
             checked,
@@ -294,13 +294,22 @@ impl CandidateSet {
         self.distances.as_ref()
     }
 
-    /// Adds `memo` to the set's distances: a copy of it becomes the memo
-    /// if the set has none, and it is merged into the memo otherwise
-    /// ([`DistanceMemo::merge`]).
-    pub(crate) fn merge_distances(&mut self, memo: &DistanceMemo) {
-        match &mut self.distances {
-            Some(own) => own.merge(memo),
-            None => self.distances = Some(memo.clone()),
+    /// Adds `other` to this set: its groups in order (a group already
+    /// present keeps its place), its statistics field by field, and its
+    /// distances into this set's memo ([`DistanceMemo::merge`]). This is
+    /// how a second candidate source, such as
+    /// [`session::session_candidates`], joins the DFG or exhaustive
+    /// candidates before Step 2. Both sets must come from the same log.
+    pub fn union(&mut self, other: &CandidateSet) {
+        for &group in other.groups() {
+            self.insert(group);
+        }
+        self.stats.accumulate(&other.stats);
+        if let Some(memo) = other.distances() {
+            match &mut self.distances {
+                Some(own) => own.merge(memo),
+                None => self.distances = Some(memo.clone()),
+            }
         }
     }
 }
@@ -351,6 +360,36 @@ mod tests {
         sum.accumulate(&one);
         assert_eq!(sum.pruned_by_sketch, 10);
         assert!(sum.budget_exhausted);
+    }
+
+    /// A union into an empty set must report exactly its source: the same
+    /// groups, every statistics field (`pruned_by_sketch` included) and
+    /// the same memo.
+    #[test]
+    fn union_of_one_source_equals_the_source() {
+        use gecco_constraints::ConstraintSet;
+        use gecco_eventlog::{LogBuilder, LogIndex};
+        let mut b = LogBuilder::new();
+        for (case, trace) in [("c1", ["a", "b"]), ("c2", ["b", "c"]), ("c3", ["a", "c"])] {
+            b.trace(case).event(trace[0]).unwrap().event(trace[1]).unwrap().done();
+        }
+        let log = b.build();
+        let index = LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let compiled = CompiledConstraintSet::compile(&ConstraintSet::new(), &log).unwrap();
+        let exhaustive = exhaustive::exhaustive_candidates(&ctx, &compiled, Budget::UNLIMITED);
+        // The sketch rejects {a, b, c}, which no trace holds.
+        assert!(exhaustive.stats.pruned_by_sketch > 0);
+        let dfg =
+            dfg::dfg_candidates(&ctx, &compiled, None, Budget::UNLIMITED, &mut dfg::NoObserver);
+        assert!(dfg.distances().is_some());
+        for source in [exhaustive, dfg] {
+            let mut union = CandidateSet::new();
+            union.union(&source);
+            assert_eq!(union.stats, source.stats);
+            assert_eq!(union.groups(), source.groups());
+            assert_eq!(union.distances(), source.distances());
+        }
     }
 
     #[test]

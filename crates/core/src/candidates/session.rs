@@ -12,9 +12,9 @@
 //! against the DFG- or exhaustively-derived ones.
 //!
 //! The source is deliberately *not* a [`super::CandidateStrategy`]
-//! variant: it plugs into the pipeline as a graph node
-//! ([`crate::graph::SessionCandidateSourceNode`]), typically unioned with
-//! another source via [`crate::graph::UnionCandidatesNode`].
+//! variant: a caller unions its output with another source's through
+//! [`CandidateSet::union`] and hands the union to Step 2
+//! ([`crate::select_optimal`]), as `examples/custom_pipeline.rs` does.
 
 use super::CandidateSet;
 use gecco_constraints::CompiledConstraintSet;
@@ -106,7 +106,9 @@ pub fn session_candidates(
             let boundary = prev.is_some_and(|p| match &config.boundary {
                 SessionBoundary::Gap { max_gap_millis } => {
                     match (p.timestamp(ts_key), event.timestamp(ts_key)) {
-                        (Some(a), Some(b)) => b - a > *max_gap_millis,
+                        // Saturating: a gap past the `i64` range still
+                        // exceeds every bound instead of wrapping negative.
+                        (Some(a), Some(b)) => b.saturating_sub(a) > *max_gap_millis,
                         _ => false,
                     }
                 }
@@ -153,7 +155,7 @@ pub fn session_candidates(
 mod tests {
     use super::*;
     use gecco_constraints::ConstraintSet;
-    use gecco_eventlog::{EventLog, LogBuilder, LogIndex};
+    use gecco_eventlog::{EventLog, LogBuilder, LogIndex, Segmenter};
 
     /// Two traces of keyboard/mouse-style events with burst timestamps:
     /// ⟨open edit | save mail⟩ (gap after "edit") and ⟨open edit save⟩.
@@ -265,5 +267,68 @@ mod tests {
         assert_eq!(a.groups(), b.groups());
         let distinct: HashSet<_> = a.groups().iter().collect();
         assert_eq!(distinct.len(), a.len(), "no duplicates");
+    }
+
+    #[test]
+    fn gap_past_the_i64_range_opens_a_session() {
+        // `i64::MAX - i64::MIN` overflows: it must still read as a gap
+        // wider than any bound, not panic or wrap to -1 ms.
+        let mut b = LogBuilder::new();
+        let mut tb = b.trace("c1");
+        for (cls, ts) in [("start", i64::MIN), ("end", i64::MAX)] {
+            tb = tb
+                .event_with(cls, |e| {
+                    e.timestamp("time:timestamp", ts);
+                })
+                .unwrap();
+        }
+        tb.done();
+        let log = b.build();
+        let out =
+            candidates(&log, "size(g) >= 1;", &SessionConfig::gap(1_000).without_singletons());
+        assert_eq!(out.groups(), &[set(&log, &["start"]), set(&log, &["end"])]);
+    }
+
+    /// DFG candidates unioned with session candidates, then selected and
+    /// abstracted by the step functions: the union holds every session
+    /// group, and the result is an exact cover whose spliced index equals
+    /// a rebuild.
+    #[test]
+    fn session_and_dfg_sources_compose() {
+        use crate::abstraction::{abstract_log, activity_names, AbstractionStrategy};
+        use crate::candidates::{dfg, Budget};
+        use crate::{select_optimal, DistanceOracle, SelectionOptions};
+        let log = burst_log();
+        let index = LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let compiled =
+            CompiledConstraintSet::compile(&ConstraintSet::parse("size(g) >= 1;").unwrap(), &log)
+                .unwrap();
+        let mut pool =
+            dfg::dfg_candidates(&ctx, &compiled, None, Budget::UNLIMITED, &mut dfg::NoObserver);
+        let sessions = session_candidates(&ctx, &compiled, &SessionConfig::gap(1_000));
+        let dfg_checked = pool.stats.checked;
+        pool.union(&sessions);
+        assert!(sessions.groups().iter().all(|g| pool.contains(g)), "session source joined");
+        assert_eq!(pool.stats.checked, dfg_checked + sessions.stats.checked);
+        let oracle = DistanceOracle::seeded(&ctx, Segmenter::RepeatSplit, pool.distances());
+        let selection = select_optimal(
+            &log,
+            pool.groups(),
+            &oracle,
+            compiled.group_count_bounds(),
+            SelectionOptions::default(),
+        )
+        .expect("singletons make the pool feasible");
+        assert!(selection.grouping.is_exact_cover(&log));
+        let names = activity_names(&log, &selection.grouping, None);
+        let (abstracted, spliced) = abstract_log(
+            &ctx,
+            &selection.grouping,
+            &names,
+            AbstractionStrategy::Completion,
+            Segmenter::RepeatSplit,
+        );
+        assert_eq!(spliced, LogIndex::build(&abstracted), "spliced index matches a rebuild");
     }
 }

@@ -16,16 +16,15 @@
 //!    events by high-level activity instances (completion-only or
 //!    start+complete strategies, §V-D).
 //!
-//! [`pipeline::Gecco`] ties the steps together behind a builder API. Since
-//! the pipeline-as-graph refactor the builder's entry points are thin
-//! wrappers assembling default graphs over the [`graph`] module's DAG
-//! executor — custom topologies (extra candidate sources, fan-outs,
-//! diagnostics sinks) plug in as [`graph::GraphNode`]s.
+//! [`pipeline::Gecco`] ties the steps together behind a builder API, and
+//! [`run_multipass`] and [`run_fanout`] chain or fan out whole runs. A
+//! pipeline with another candidate source (e.g. [`candidates::session`])
+//! calls the step functions itself and joins the sources with
+//! [`CandidateSet::union`].
 
 pub mod abstraction;
 pub mod candidates;
 pub mod distance;
-pub mod graph;
 pub mod grouping;
 pub mod pipeline;
 pub mod selection;
@@ -41,10 +40,11 @@ pub use gecco_eventlog::{parallel_enabled, set_parallel};
 pub use gecco_solver::MasterEngine;
 pub use grouping::Grouping;
 pub use pipeline::{
-    run_fanout, run_multipass, run_multipass_linear, AbstractionResult, BranchOutcome, Gecco,
-    GeccoError, InfeasibilityReport, MultiPassResult, Outcome, PassReport,
+    run_fanout, run_multipass, AbstractionResult, BranchOutcome, Gecco, GeccoError,
+    InfeasibilityReport, MultiPassResult, Outcome, PassReport,
 };
 pub use selection::{
     select_optimal, select_optimal_colgen, solve_set_partition, solve_set_partition_stats,
     use_column_generation, ColGenMode, LazyPricingStats, Selection, SelectionOptions,
+    AUTO_COLGEN_BUDGET,
 };

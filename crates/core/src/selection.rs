@@ -41,9 +41,9 @@ pub enum ColGenMode {
     /// [`ClassCoOccurrence::estimate_pool`] counts cliques of the exact
     /// pairwise co-occurrence graph (an upper bound on the enumerable
     /// pool — every occurring group is such a clique) with an early exit
-    /// at [`SelectionOptions::auto_colgen_budget`]. Below the budget,
-    /// enumeration is proven small and the enumerated route runs;
-    /// at the budget, the pool may be huge and column generation runs.
+    /// at [`AUTO_COLGEN_BUDGET`]. Below the budget, enumeration is proven
+    /// small and the enumerated route runs; at the budget, the pool may be
+    /// huge and column generation runs.
     Auto,
 }
 
@@ -65,10 +65,6 @@ pub struct SelectionOptions {
     /// by LP duals, so pools far past enumerable size stay solvable. The
     /// enumerated presolved route remains the differential oracle.
     pub column_generation: ColGenMode,
-    /// Pool-size budget for [`ColGenMode::Auto`]: when the sketch-driven
-    /// clique estimate reaches this many groups, the run switches to
-    /// column generation. `0` makes `Auto` behave like `On`.
-    pub auto_colgen_budget: usize,
     /// Master LP engine for the column-generation route (default: the
     /// incremental revised simplex; the dense tableau rebuild is the
     /// differential oracle).
@@ -82,17 +78,21 @@ impl Default for SelectionOptions {
             max_nodes: 0,
             presolve: true,
             column_generation: ColGenMode::default(),
-            auto_colgen_budget: 50_000,
             colgen_master: MasterEngine::default(),
         }
     }
 }
 
+/// Pool-size budget of [`ColGenMode::Auto`]: when the sketch-driven clique
+/// estimate reaches this many groups, the run switches to column
+/// generation.
+pub const AUTO_COLGEN_BUDGET: usize = 50_000;
+
 /// Resolves `options.column_generation` for a concrete log: `On`/`Off`
 /// are literal, `Auto` consults the co-occurrence sketch (one cheap pass
 /// over the postings) and flips column generation on exactly when the
-/// clique estimate says enumeration could exceed
-/// [`SelectionOptions::auto_colgen_budget`] groups.
+/// clique estimate says enumeration could exceed [`AUTO_COLGEN_BUDGET`]
+/// groups.
 pub fn use_column_generation(
     options: &SelectionOptions,
     log: &EventLog,
@@ -104,8 +104,7 @@ pub fn use_column_generation(
         ColGenMode::Auto => {
             let universe = occurring_classes(log);
             let sketch = ClassCoOccurrence::build(index);
-            sketch.estimate_pool(&universe, options.auto_colgen_budget)
-                >= options.auto_colgen_budget
+            sketch.estimate_pool(&universe, AUTO_COLGEN_BUDGET) >= AUTO_COLGEN_BUDGET
         }
     }
 }
@@ -815,21 +814,28 @@ mod tests {
 
     #[test]
     fn auto_mode_follows_the_pool_estimate() {
-        let log = running_example();
-        let index = gecco_eventlog::LogIndex::build(&log);
+        use gecco_datagen::{production_tree, simulate, SimulationOptions};
+        let decide = |log: &EventLog, column_generation: ColGenMode| {
+            let index = gecco_eventlog::LogIndex::build(log);
+            let options = SelectionOptions { column_generation, ..Default::default() };
+            use_column_generation(&options, log, &index)
+        };
+        let simulated = |classes: usize, len: usize| {
+            let tree = production_tree(classes, len, 0xACE + classes as u64);
+            simulate(&tree, &SimulationOptions { num_traces: 100, seed: 77, ..Default::default() })
+        };
         // Literal modes ignore the estimate entirely.
-        let on = SelectionOptions { column_generation: ColGenMode::On, ..Default::default() };
-        let off = SelectionOptions::default();
-        assert!(use_column_generation(&on, &log, &index));
-        assert!(!use_column_generation(&off, &log, &index));
-        // The running example's clique count is tiny: the default budget
-        // keeps the enumerated route, a budget of 1 flips colgen on.
-        let auto = SelectionOptions { column_generation: ColGenMode::Auto, ..Default::default() };
-        assert!(!use_column_generation(&auto, &log, &index));
-        let tight = SelectionOptions { auto_colgen_budget: 1, ..auto };
-        assert!(use_column_generation(&tight, &log, &index));
-        let zero = SelectionOptions { auto_colgen_budget: 0, ..auto };
-        assert!(use_column_generation(&zero, &log, &index), "budget 0 behaves like On");
+        let log = running_example();
+        assert!(decide(&log, ColGenMode::On));
+        assert!(!decide(&log, ColGenMode::Off));
+        // Below AUTO_COLGEN_BUDGET the enumerated route runs: on the
+        // running example and on a 12-class production log.
+        assert!(!decide(&log, ColGenMode::Auto));
+        assert!(!decide(&simulated(12, 12), ColGenMode::Auto));
+        // The 16-class `scale_dense` log's clique estimate reaches it.
+        let dense = simulated(16, 16);
+        assert!(decide(&dense, ColGenMode::Auto));
+        assert!(!decide(&dense, ColGenMode::Off));
     }
 
     #[test]

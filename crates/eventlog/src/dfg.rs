@@ -55,7 +55,7 @@ impl Dfg {
 
     /// Builds the DFG from `log`'s [`LogIndex`] postings instead of
     /// rescanning the traces, bit-identical to [`Dfg::from_log`] (asserted
-    /// by the tests below and the `graph_equivalence` suite in gecco-core).
+    /// by the tests below).
     ///
     /// The postings already carry every `(trace, position, class)` triple,
     /// so the class sequence of each trace is reconstructed by scattering

@@ -3,8 +3,8 @@
 //! Built with the `rayon` cargo feature, the per-chunk stages of the XES
 //! and CSV importers (trace-chunk parsing, CSV row sniffing) and the
 //! per-candidate stages of `gecco-core` (constraint checks, distance
-//! scoring, DFG boundary sets, selection components, graph waves) fan out
-//! over the worker threads. Without the feature every function here
+//! scoring, DFG boundary sets, selection components, `run_fanout`'s
+//! branches) fan out over the worker threads. Without the feature every function here
 //! degenerates to its serial form and [`set_parallel`] is a no-op, so
 //! callers never need `cfg` guards. Every fan-out asks one question,
 //! [`worker_count`]` > 1`, so at one thread no caller does parallel-shaped
