@@ -634,6 +634,56 @@ mod tests {
     }
 
     #[test]
+    fn parsed_event_attributes_are_allocated_at_their_final_size() {
+        // `Event::new` boxes each attribute vector; any spare capacity is
+        // shrunk away by a `realloc` that leaves the freed tail stranded
+        // next to the event. An in-place `collect` of the parsed
+        // attributes would reuse the larger scratch buffer of raw
+        // attributes (capacity 8, 8, 16 and 32 here), so every event
+        // would pay for one.
+        let chunk = br#"<trace>
+          <event><string key="concept:name" value="a"/></event>
+          <event>
+            <string key="concept:name" value="b"/>
+            <int key="cost" value="-3"/>
+            <float key="effort" value="0.5"/>
+            <boolean key="rework" value="true"/>
+          </event>
+          <event>
+            <string key="concept:name" value="c"/>
+            <date key="time:timestamp" value="2021-03-01T08:00:00.000Z"/>
+            <string key="org:role" value="clerk"/>
+            <string key="org:resource" value="r1"/>
+            <int key="cost" value="7"/>
+          </event>
+          <event>
+            <string key="concept:name" value="d"/>
+            <date key="time:timestamp" value="2021-03-01T09:00:00.000Z"/>
+            <string key="org:role" value="manager"/>
+            <string key="org:resource" value="r2"/>
+            <string key="lifecycle:transition" value="complete"/>
+            <int key="cost" value="1"/>
+            <float key="effort" value="1.25"/>
+            <boolean key="rework" value="false"/>
+            <id key="ref" value="x-9"/>
+          </event>
+        </trace>"#;
+        let mut frag = LogFragment::new();
+        crate::xes::reader::parse_trace_into(&mut frag, chunk).unwrap();
+        let events = &frag.traces[0].events;
+        let lens: Vec<usize> = events.iter().map(|(_, attrs)| attrs.len()).collect();
+        assert_eq!(lens, [1, 4, 5, 9]);
+        for (class, attrs) in events {
+            assert_eq!(
+                attrs.capacity(),
+                attrs.len(),
+                "event {:?} carries spare attribute capacity",
+                frag.interner.resolve(*class)
+            );
+        }
+    }
+
+    #[test]
     fn class_attr_overwrites() {
         let mut b = LogBuilder::new();
         b.class_attr_str("a", "system", "X").unwrap();

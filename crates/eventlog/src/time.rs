@@ -6,6 +6,7 @@
 //! Howard Hinnant's `days_from_civil` algorithm.
 
 use crate::error::{Error, Result};
+use std::fmt::Write as _;
 
 /// Days from 1970-01-01 for a proleptic Gregorian calendar date.
 fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
@@ -169,13 +170,50 @@ pub fn parse_iso8601(s: &str) -> Result<i64> {
 
 /// Formats epoch milliseconds as `YYYY-MM-DDTHH:MM:SS.fffZ` (UTC).
 pub fn format_iso8601(millis: i64) -> String {
+    let mut out = String::with_capacity(24);
+    push_iso8601(&mut out, millis);
+    out
+}
+
+/// Appends epoch milliseconds to `out` as `YYYY-MM-DDTHH:MM:SS.fffZ`
+/// (UTC). A year outside 0–9999 keeps its sign and every digit, padded to
+/// four characters (`-001`, `10000`).
+pub(crate) fn push_iso8601(out: &mut String, millis: i64) {
     let days = millis.div_euclid(86_400_000);
     let rem = millis.rem_euclid(86_400_000);
     let (y, m, d) = civil_from_days(days);
     let (hh, rem) = (rem / 3_600_000, rem % 3_600_000);
     let (mi, rem) = (rem / 60_000, rem % 60_000);
     let (ss, ms) = (rem / 1000, rem % 1000);
-    format!("{y:04}-{m:02}-{d:02}T{hh:02}:{mi:02}:{ss:02}.{ms:03}Z")
+    if (0..=9999).contains(&y) {
+        push_digits(out, y, 4);
+    } else {
+        let _ = write!(out, "{y:04}");
+    }
+    let fields = [
+        ('-', i64::from(m), 2),
+        ('-', i64::from(d), 2),
+        ('T', hh, 2),
+        (':', mi, 2),
+        (':', ss, 2),
+        ('.', ms, 3),
+    ];
+    for (separator, value, width) in fields {
+        out.push(separator);
+        push_digits(out, value, width);
+    }
+    out.push('Z');
+}
+
+/// Appends the `width` (at most 4) low decimal digits of `value`
+/// (non-negative), zero-padded.
+fn push_digits(out: &mut String, mut value: i64, width: usize) {
+    let mut digits = [b'0'; 4];
+    for slot in digits[..width].iter_mut().rev() {
+        *slot = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+    out.extend(digits[..width].iter().map(|&b| char::from(b)));
 }
 
 #[cfg(test)]
@@ -221,6 +259,21 @@ mod tests {
         ] {
             let s = format_iso8601(t);
             assert_eq!(parse_iso8601(&s).unwrap(), t, "round trip failed for {s}");
+        }
+    }
+
+    #[test]
+    fn renderings_are_pinned() {
+        for (millis, want) in [
+            (-1, "1969-12-31T23:59:59.999Z"),
+            (0, "1970-01-01T00:00:00.000Z"),
+            (1_485_938_415_250, "2017-02-01T08:40:15.250Z"),
+            (-62_167_219_200_000, "0000-01-01T00:00:00.000Z"),
+            (253_402_300_799_999, "9999-12-31T23:59:59.999Z"),
+            (253_402_300_800_000, "10000-01-01T00:00:00.000Z"),
+            (-62_167_219_200_001, "-001-12-31T23:59:59.999Z"),
+        ] {
+            assert_eq!(format_iso8601(millis), want, "{millis}");
         }
     }
 

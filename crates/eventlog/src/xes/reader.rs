@@ -349,12 +349,16 @@ pub(crate) fn parse_trace_into(fragment: &mut LogFragment, chunk: &[u8]) -> Resu
     }
     let mut attributes: Vec<(crate::Symbol, AttributeValue)> = Vec::new();
     let mut events: Vec<(crate::Symbol, Vec<(crate::Symbol, AttributeValue)>)> = Vec::new();
+    // Scratch for every event of the chunk: a buffer per event would add
+    // an allocation, a growth and a free to each event's parse.
+    let mut raw_attrs: Vec<RawAttr<'_>> = Vec::new();
     loop {
         match parser.next_event()? {
             Some(XmlEvent::StartElement { name, attributes: xattrs, self_closing }) => {
                 if name == "event" {
-                    let raw_attrs =
-                        if self_closing { Vec::new() } else { parse_event_attrs(&mut parser)? };
+                    if !self_closing {
+                        parse_event_attrs(&mut parser, &mut raw_attrs)?;
+                    }
                     let class = raw_attrs
                         .iter()
                         .find(|a| a.key == "concept:name")
@@ -364,13 +368,13 @@ pub(crate) fn parse_trace_into(fragment: &mut LogFragment, chunk: &[u8]) -> Resu
                         })
                         .ok_or_else(|| xes_err(&parser, "event without string `concept:name`"))?;
                     let class = fragment.intern(class);
-                    let attrs = raw_attrs
-                        .into_iter()
-                        .map(|a| {
-                            let key = fragment.intern(&a.key);
-                            (key, fragment_value(fragment, a.value))
-                        })
-                        .collect();
+                    // Sized up front: boxing the event then keeps this
+                    // allocation as it is, with no spare capacity to shrink.
+                    let mut attrs = Vec::with_capacity(raw_attrs.len());
+                    for a in raw_attrs.drain(..) {
+                        let key = fragment.intern(&a.key);
+                        attrs.push((key, fragment_value(fragment, a.value)));
+                    }
                     events.push((class, attrs));
                 } else if let Some(attr) = attr_from(&parser, name, xattrs)? {
                     if !self_closing {
@@ -392,9 +396,8 @@ pub(crate) fn parse_trace_into(fragment: &mut LogFragment, chunk: &[u8]) -> Resu
     Ok(())
 }
 
-/// Parses the attribute children of one `<event>` element.
-fn parse_event_attrs<'a>(parser: &mut XmlParser<'a>) -> Result<Vec<RawAttr<'a>>> {
-    let mut out = Vec::new();
+/// Parses the attribute children of one `<event>` element into `out`.
+fn parse_event_attrs<'a>(parser: &mut XmlParser<'a>, out: &mut Vec<RawAttr<'a>>) -> Result<()> {
     loop {
         match parser.next_event()? {
             Some(XmlEvent::StartElement { name, attributes, self_closing }) => {
@@ -405,7 +408,7 @@ fn parse_event_attrs<'a>(parser: &mut XmlParser<'a>) -> Result<Vec<RawAttr<'a>>>
                     skip_subtree(parser)?;
                 }
             }
-            Some(XmlEvent::EndElement { name: "event" }) => return Ok(out),
+            Some(XmlEvent::EndElement { name: "event" }) => return Ok(()),
             Some(_) => {}
             None => return Err(xes_err(parser, "unexpected end of input inside <event>")),
         }

@@ -3,11 +3,15 @@
 use crate::error::Result;
 use crate::interner::Symbol;
 use crate::log::EventLog;
-use crate::time::format_iso8601;
+use crate::time::push_iso8601;
 use crate::value::AttributeValue;
 use crate::xes::reader::CLASS_ATTR_KEY;
-use crate::xes::xml::escape;
+use crate::xes::xml::push_escaped;
 use std::fmt::Write as _;
+
+/// Indentation of the deepest attribute line (an event's, three levels
+/// down); shallower lines take a prefix.
+const PAD: &str = "      ";
 
 /// Serializes `log` to an XES string.
 pub fn write_string(log: &EventLog) -> String {
@@ -44,12 +48,11 @@ pub fn write_header(out: &mut String, log: &EventLog) {
         if info.attributes.is_empty() {
             continue;
         }
-        let _ = writeln!(
-            out,
-            "  <string key=\"{}\" value=\"{}\">",
-            CLASS_ATTR_KEY,
-            escape(log.resolve(info.name))
-        );
+        out.push_str("  <string key=\"");
+        out.push_str(CLASS_ATTR_KEY);
+        out.push_str("\" value=\"");
+        push_escaped(out, log.resolve(info.name));
+        out.push_str("\">\n");
         for (k, v) in &info.attributes {
             write_attr(out, log, 2, *k, v);
         }
@@ -70,11 +73,9 @@ pub fn write_traces(out: &mut String, log: &EventLog) {
             let has_concept_name =
                 event.attributes().iter().any(|(k, _)| *k == log.std_keys().concept_name);
             if !has_concept_name {
-                let _ = writeln!(
-                    out,
-                    "      <string key=\"concept:name\" value=\"{}\"/>",
-                    escape(class_name)
-                );
+                out.push_str("      <string key=\"concept:name\" value=\"");
+                push_escaped(out, class_name);
+                out.push_str("\"/>\n");
             }
             for (k, v) in event.attributes() {
                 write_attr(out, log, 3, *k, v);
@@ -96,6 +97,8 @@ pub fn write_file(log: &EventLog, path: impl AsRef<std::path::Path>) -> Result<(
     Ok(())
 }
 
+/// Appends one self-closing typed attribute element at nesting depth
+/// `indent` (1–3).
 fn write_attr(
     out: &mut String,
     log: &EventLog,
@@ -103,19 +106,31 @@ fn write_attr(
     key: Symbol,
     value: &AttributeValue,
 ) {
-    let pad = "  ".repeat(indent);
-    let key = escape(log.resolve(key));
-    let _ = match value {
-        AttributeValue::Str(s) => {
-            writeln!(out, "{pad}<string key=\"{key}\" value=\"{}\"/>", escape(log.resolve(*s)))
-        }
-        AttributeValue::Int(i) => writeln!(out, "{pad}<int key=\"{key}\" value=\"{i}\"/>"),
-        AttributeValue::Float(f) => writeln!(out, "{pad}<float key=\"{key}\" value=\"{f}\"/>"),
-        AttributeValue::Bool(b) => writeln!(out, "{pad}<boolean key=\"{key}\" value=\"{b}\"/>"),
-        AttributeValue::Timestamp(t) => {
-            writeln!(out, "{pad}<date key=\"{key}\" value=\"{}\"/>", format_iso8601(*t))
-        }
+    let tag = match value {
+        AttributeValue::Str(_) => "string",
+        AttributeValue::Int(_) => "int",
+        AttributeValue::Float(_) => "float",
+        AttributeValue::Bool(_) => "boolean",
+        AttributeValue::Timestamp(_) => "date",
     };
+    out.push_str(&PAD[..2 * indent]);
+    out.push('<');
+    out.push_str(tag);
+    out.push_str(" key=\"");
+    push_escaped(out, log.resolve(key));
+    out.push_str("\" value=\"");
+    match value {
+        AttributeValue::Str(s) => push_escaped(out, log.resolve(*s)),
+        AttributeValue::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        AttributeValue::Float(f) => {
+            let _ = write!(out, "{f}");
+        }
+        AttributeValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        AttributeValue::Timestamp(t) => push_iso8601(out, *t),
+    }
+    out.push_str("\"/>\n");
 }
 
 #[cfg(test)]
@@ -142,6 +157,111 @@ mod tests {
             .done();
         b.trace("case-2").event("a").unwrap().done();
         b.build()
+    }
+
+    /// Every attribute type at every level, the five XML specials in keys,
+    /// values, class names and log attributes, a class-attribute block,
+    /// events with and without their own `concept:name`, and the float and
+    /// date renderings that are easiest to change by accident.
+    fn golden_log() -> EventLog {
+        let mut b = LogBuilder::new();
+        b.log_attr_str("concept:name", "golden <log> & \"co\" 'n'");
+        b.log_attr("k&<>\"'", AttributeValue::Int(-42));
+        b.log_attr("created", AttributeValue::Timestamp(-1));
+        b.log_attr("ratio", AttributeValue::Float(0.1));
+        b.log_attr("open", AttributeValue::Bool(false));
+        b.class_attr_str("a<&>", "sys\"'", "S<1> & 'x'").unwrap();
+        b.class_attr_str("a<&>", "owner", "O1").unwrap();
+        b.trace("case <1> & \"q\"")
+            .attr("priority", AttributeValue::Int(-7))
+            .attr("weight", AttributeValue::Float(-2.5))
+            .attr("opened", AttributeValue::Timestamp(0))
+            .attr("urgent", AttributeValue::Bool(true))
+            .event_with("a<&>", |e| {
+                e.str("concept:name", "a<&>")
+                    .str("org:role", "clerk & 'boss'")
+                    .str("k<\"'>&", "v")
+                    .timestamp("time:timestamp", 1_485_938_415_250)
+                    .int("cost", -3)
+                    .int("floor", i64::MIN)
+                    .float("f_tenth", 0.1)
+                    .float("f_neg", -2.5)
+                    .float("f_tiny", 1e-7)
+                    .float("f_huge", 1e21)
+                    .float("f_three", 3.0)
+                    .bool("rework", true)
+                    .bool("skip", false);
+            })
+            .unwrap()
+            .event_with("b \"quoted\" 'x' > y", |e| {
+                e.timestamp("time:timestamp", 253_402_300_800_000)
+                    .timestamp("t_before_zero", -62_167_219_200_001)
+                    .timestamp("t_last", 253_402_300_799_999);
+            })
+            .unwrap()
+            .done();
+        b.trace("case-2").event("a<&>").unwrap().done();
+        b.build()
+    }
+
+    /// `write_string(&golden_log())`, byte for byte, as recorded from the
+    /// `writeln!`-based writer that the appending one replaced: every
+    /// written log, and every digest taken of one, depends on these bytes.
+    const GOLDEN: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
+<log xes.version="1.0" xes.features="nested-attributes">
+  <extension name="Concept" prefix="concept" uri="http://www.xes-standard.org/concept.xesext"/>
+  <extension name="Time" prefix="time" uri="http://www.xes-standard.org/time.xesext"/>
+  <extension name="Organizational" prefix="org" uri="http://www.xes-standard.org/org.xesext"/>
+  <classifier name="Activity" keys="concept:name"/>
+  <string key="concept:name" value="golden &lt;log&gt; &amp; &quot;co&quot; &apos;n&apos;"/>
+  <int key="k&amp;&lt;&gt;&quot;&apos;" value="-42"/>
+  <date key="created" value="1969-12-31T23:59:59.999Z"/>
+  <float key="ratio" value="0.1"/>
+  <boolean key="open" value="false"/>
+  <string key="gecco:classattr" value="a&lt;&amp;&gt;">
+    <string key="sys&quot;&apos;" value="S&lt;1&gt; &amp; &apos;x&apos;"/>
+    <string key="owner" value="O1"/>
+  </string>
+  <trace>
+    <string key="concept:name" value="case &lt;1&gt; &amp; &quot;q&quot;"/>
+    <int key="priority" value="-7"/>
+    <float key="weight" value="-2.5"/>
+    <date key="opened" value="1970-01-01T00:00:00.000Z"/>
+    <boolean key="urgent" value="true"/>
+    <event>
+      <string key="concept:name" value="a&lt;&amp;&gt;"/>
+      <date key="time:timestamp" value="2017-02-01T08:40:15.250Z"/>
+      <string key="org:role" value="clerk &amp; &apos;boss&apos;"/>
+      <string key="k&lt;&quot;&apos;&gt;&amp;" value="v"/>
+      <int key="cost" value="-3"/>
+      <int key="floor" value="-9223372036854775808"/>
+      <float key="f_tenth" value="0.1"/>
+      <float key="f_neg" value="-2.5"/>
+      <float key="f_tiny" value="0.0000001"/>
+      <float key="f_huge" value="1000000000000000000000"/>
+      <float key="f_three" value="3"/>
+      <boolean key="rework" value="true"/>
+      <boolean key="skip" value="false"/>
+    </event>
+    <event>
+      <string key="concept:name" value="b &quot;quoted&quot; &apos;x&apos; &gt; y"/>
+      <date key="time:timestamp" value="10000-01-01T00:00:00.000Z"/>
+      <date key="t_before_zero" value="-001-12-31T23:59:59.999Z"/>
+      <date key="t_last" value="9999-12-31T23:59:59.999Z"/>
+    </event>
+  </trace>
+  <trace>
+    <string key="concept:name" value="case-2"/>
+    <event>
+      <string key="concept:name" value="a&lt;&amp;&gt;"/>
+    </event>
+  </trace>
+</log>
+"#;
+
+    #[test]
+    fn writer_output_is_pinned() {
+        assert_eq!(write_string(&golden_log()), GOLDEN);
     }
 
     #[test]

@@ -429,20 +429,26 @@ pub(crate) fn skip_markup_decl(input: &[u8], pos: &mut usize) -> bool {
     false
 }
 
-/// Escapes a string for inclusion in XML attribute values or text.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
+/// Appends `s` to `out`, escaped for an XML attribute value or text.
+/// Runs of bytes that need no escaping are copied as one slice, so a
+/// string with nothing to escape is a single `push_str`.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        // The five specials are ASCII, so `i` is a char boundary.
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
     }
-    out
+    out.push_str(&s[copied..]);
 }
 
 #[cfg(test)]
@@ -655,9 +661,10 @@ mod tests {
 
     #[test]
     fn escape_round_trips() {
-        let s = "a<b>&\"'c";
-        let escaped = escape(s);
-        let doc = format!("<a k=\"{escaped}\"/>");
+        let s = "a<b>&\"'c, naïve ü";
+        let mut doc = String::from("<a k=\"");
+        push_escaped(&mut doc, s);
+        doc.push_str("\"/>");
         let mut p = XmlParser::new(&doc);
         match p.next_event().unwrap().unwrap() {
             XmlEvent::StartElement { attributes, .. } => assert_eq!(attributes[0].1, s),
