@@ -185,35 +185,7 @@ pub(crate) fn push_iso8601(out: &mut String, millis: i64) {
     let (hh, rem) = (rem / 3_600_000, rem % 3_600_000);
     let (mi, rem) = (rem / 60_000, rem % 60_000);
     let (ss, ms) = (rem / 1000, rem % 1000);
-    if (0..=9999).contains(&y) {
-        push_digits(out, y, 4);
-    } else {
-        let _ = write!(out, "{y:04}");
-    }
-    let fields = [
-        ('-', i64::from(m), 2),
-        ('-', i64::from(d), 2),
-        ('T', hh, 2),
-        (':', mi, 2),
-        (':', ss, 2),
-        ('.', ms, 3),
-    ];
-    for (separator, value, width) in fields {
-        out.push(separator);
-        push_digits(out, value, width);
-    }
-    out.push('Z');
-}
-
-/// Appends the `width` (at most 4) low decimal digits of `value`
-/// (non-negative), zero-padded.
-fn push_digits(out: &mut String, mut value: i64, width: usize) {
-    let mut digits = [b'0'; 4];
-    for slot in digits[..width].iter_mut().rev() {
-        *slot = b'0' + (value % 10) as u8;
-        value /= 10;
-    }
-    out.extend(digits[..width].iter().map(|&b| char::from(b)));
+    let _ = write!(out, "{y:04}-{m:02}-{d:02}T{hh:02}:{mi:02}:{ss:02}.{ms:03}Z");
 }
 
 #[cfg(test)]
