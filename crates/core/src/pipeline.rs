@@ -2,7 +2,9 @@
 //!
 //! There is one route through the three steps: [`Gecco::run`] computes the
 //! candidates (Step 1, with Algorithm 3's merges), selects an optimal
-//! grouping (Step 2) and rewrites the log (Step 3). [`run_multipass`]
+//! grouping (Step 2) and rewrites the log (Step 3). When Step 2 takes the
+//! column-generation route, Step 1 does not run: that route prices
+//! candidates out of the implicit pool itself. [`run_multipass`]
 //! chains such runs, seeding each pass with the index the previous pass
 //! spliced, and [`run_fanout`] runs independent passes over one log through
 //! [`gecco_eventlog::parallel::par_map`]. A pipeline with other candidate
@@ -56,7 +58,8 @@ impl From<CompileError> for GeccoError {
 pub struct InfeasibilityReport {
     /// Per-constraint violation evidence.
     pub diagnostics: Diagnostics,
-    /// Candidate statistics of the (failed) run.
+    /// Candidate statistics of the (failed) run: `CandidateStats::default()`
+    /// on the column-generation route, where Step 1 does not run.
     pub candidate_stats: crate::candidates::CandidateStats,
     /// Pre-rendered human-readable summary.
     pub summary: String,
@@ -78,9 +81,10 @@ pub struct AbstractionResult {
 /// Wall-clock breakdown of the three steps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
-    /// Step 1: candidate computation (incl. exclusive merging).
+    /// Step 1: candidate computation (incl. exclusive merging); zero on
+    /// the column-generation route, where Step 1 does not run.
     pub candidates: Duration,
-    /// Step 2: MIP selection.
+    /// Step 2: MIP selection, including the choice of its route.
     pub selection: Duration,
     /// Step 3: trace rewriting.
     pub abstraction: Duration,
@@ -134,7 +138,8 @@ impl AbstractionResult {
         self.proven_optimal
     }
 
-    /// Statistics from the candidate computation.
+    /// Statistics from the candidate computation: `CandidateStats::default()`
+    /// on the column-generation route, where Step 1 does not run.
     pub fn candidate_stats(&self) -> &crate::candidates::CandidateStats {
         &self.candidate_stats
     }
@@ -219,7 +224,10 @@ impl<'a> Gecco<'a> {
         self
     }
 
-    /// Chooses the Step-1 instantiation (Exh / DFG∞ / DFGk).
+    /// Chooses the Step-1 instantiation (Exh / DFG∞ / DFGk). The
+    /// column-generation route ([`SelectionOptions::column_generation`])
+    /// runs no Step 1 and ignores it: it prices Algorithm 1's whole
+    /// candidate lattice.
     pub fn candidates(mut self, strategy: CandidateStrategy) -> Self {
         self.strategy = strategy;
         self
@@ -238,6 +246,7 @@ impl<'a> Gecco<'a> {
     }
 
     /// Bounds Step 1 (mirrors the paper's 5-hour candidate timeout).
+    /// Ignored on the column-generation route, which runs no Step 1.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
@@ -250,6 +259,8 @@ impl<'a> Gecco<'a> {
     }
 
     /// Enables/disables Algorithm 3 (exclusive-alternative merging).
+    /// Ignored on the column-generation route: its implicit pool holds no
+    /// merged candidates.
     pub fn merge_exclusive(mut self, on: bool) -> Self {
         self.merge_exclusive = on;
         self
@@ -274,7 +285,8 @@ impl<'a> Gecco<'a> {
 
     /// Runs the three steps like [`Gecco::run`], reporting every Step-1
     /// iteration of the DFG search to `observer` (used to render the
-    /// paper's Figure 5).
+    /// paper's Figure 5). On the column-generation route Step 1 does not
+    /// run, so the observer sees no iteration.
     pub fn run_observed(self, observer: &mut dyn IterationObserver) -> Result<Outcome, GeccoError> {
         let compiled =
             CompiledConstraintSet::compile_with(&self.constraints, self.log, self.segmenter)?;
@@ -291,63 +303,75 @@ impl<'a> Gecco<'a> {
         };
         let ctx = EvalContext::new(self.log, index);
 
-        // Step 1: candidate computation.
+        // Step 2's route is decided first: column generation prices
+        // candidates lazily out of the implicit pool, so on that route
+        // neither Step 1 nor Algorithm 3 runs.
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
         // reported in PipelineStats and never folds into results
-        let t0 = Instant::now();
-        let mut candidates: CandidateSet = match self.strategy {
-            CandidateStrategy::Exhaustive => exhaustive_candidates(&ctx, &compiled, self.budget),
-            CandidateStrategy::DfgUnbounded => {
-                dfg_candidates(&ctx, &compiled, None, self.budget, observer)
-            }
-            CandidateStrategy::DfgBeam { k } => {
-                dfg_candidates(&ctx, &compiled, Some(k), self.budget, observer)
-            }
-        };
-        if self.merge_exclusive {
-            extend_with_exclusive_candidates(&ctx, &compiled, &mut candidates);
-        }
-        let candidates_time = t0.elapsed();
+        let t_route = Instant::now();
+        let lazy = use_column_generation(&self.selection, self.log, index);
+        let route_time = t_route.elapsed();
 
-        // Step 2: optimal grouping. The column-generation route prices
-        // candidates lazily out of the implicit pool instead of using the
-        // Step-1 enumeration (which then only serves diagnostics). Either
-        // way the oracle starts from the distances Step 1 scored.
+        // Step 1: candidate computation (enumerated route only).
+        let (candidates, candidates_time): (Option<CandidateSet>, Duration) = if lazy {
+            (None, Duration::ZERO)
+        } else {
+            // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
+            // reported in PipelineStats and never folds into results
+            let t0 = Instant::now();
+            let mut candidates = match self.strategy {
+                CandidateStrategy::Exhaustive => {
+                    exhaustive_candidates(&ctx, &compiled, self.budget)
+                }
+                CandidateStrategy::DfgUnbounded => {
+                    dfg_candidates(&ctx, &compiled, None, self.budget, observer)
+                }
+                CandidateStrategy::DfgBeam { k } => {
+                    dfg_candidates(&ctx, &compiled, Some(k), self.budget, observer)
+                }
+            };
+            if self.merge_exclusive {
+                extend_with_exclusive_candidates(&ctx, &compiled, &mut candidates);
+            }
+            (Some(candidates), t0.elapsed())
+        };
+
+        // Step 2: optimal grouping. The enumerated route's oracle starts
+        // from the distances Step 1 scored; the lazy route's starts empty.
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
         // reported in PipelineStats and never folds into results
         let t1 = Instant::now();
-        let oracle = DistanceOracle::seeded(&ctx, self.segmenter, candidates.distances());
-        let selected = if use_column_generation(&self.selection, self.log, index) {
-            select_optimal_colgen(
-                self.log,
-                &compiled,
-                &oracle,
-                compiled.group_count_bounds(),
-                self.selection,
-            )
-        } else {
-            select_optimal(
-                self.log,
-                candidates.groups(),
-                &oracle,
-                compiled.group_count_bounds(),
-                self.selection,
-            )
+        let bounds = compiled.group_count_bounds();
+        let selected = match &candidates {
+            None => {
+                let oracle = DistanceOracle::new(&ctx, self.segmenter);
+                select_optimal_colgen(self.log, &compiled, &oracle, bounds, self.selection)
+            }
+            Some(candidates) => {
+                let oracle = DistanceOracle::seeded(&ctx, self.segmenter, candidates.distances());
+                select_optimal(self.log, candidates.groups(), &oracle, bounds, self.selection)
+            }
         };
-        let selection_time = t1.elapsed();
+        let selection_time = route_time + t1.elapsed();
+        let candidate_stats = candidates.as_ref().map(|c| c.stats.clone()).unwrap_or_default();
 
         let Some(selection) = selected else {
             let diagnostics = Diagnostics::probe(&compiled, &ctx);
-            let summary = format!(
-                "no feasible grouping over {} candidates (checked {} groups{}).\n{}",
-                candidates.len(),
-                candidates.stats.checked,
-                if candidates.stats.budget_exhausted { ", budget exhausted" } else { "" },
-                diagnostics.render(self.log)
-            );
+            let cause = match &candidates {
+                Some(candidates) => format!(
+                    "no feasible grouping over {} candidates (checked {} groups{})",
+                    candidates.len(),
+                    candidate_stats.checked,
+                    if candidate_stats.budget_exhausted { ", budget exhausted" } else { "" },
+                ),
+                None => "no feasible grouping: column generation found no exact cover of the \
+                         implicit candidate pool"
+                    .to_string(),
+            };
+            let summary = format!("{cause}.\n{}", diagnostics.render(self.log));
             return Ok(Outcome::Infeasible(InfeasibilityReport {
                 diagnostics,
-                candidate_stats: candidates.stats,
+                candidate_stats,
                 summary,
             }));
         };
@@ -369,7 +393,7 @@ impl<'a> Gecco<'a> {
             names,
             distance: selection.distance,
             proven_optimal: selection.proven_optimal,
-            candidate_stats: candidates.stats,
+            candidate_stats,
             timings: Timings {
                 candidates: candidates_time,
                 selection: selection_time,
@@ -667,6 +691,79 @@ mod tests {
         match outcome {
             Outcome::Infeasible(rep) => {
                 assert!(rep.summary.contains("no feasible grouping"));
+                assert!(!rep.diagnostics.is_empty(), "singletons violate min-size");
+            }
+            Outcome::Abstracted(_) => panic!("expected infeasible"),
+        }
+    }
+
+    fn colgen_on() -> SelectionOptions {
+        SelectionOptions {
+            column_generation: crate::selection::ColGenMode::On,
+            ..SelectionOptions::default()
+        }
+    }
+
+    /// Counts the Step-1 iterations a run reports.
+    struct CountIterations(usize);
+
+    impl IterationObserver for CountIterations {
+        fn iteration(&mut self, _: usize, _: &[(crate::candidates::dfg::Path, bool)]) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn lazy_route_runs_no_step_one() {
+        let log = running_example();
+        let mut observer = CountIterations(0);
+        let result = Gecco::new(&log)
+            .constraints(role_constraint())
+            .selection(colgen_on())
+            .run_observed(&mut observer)
+            .unwrap()
+            .expect_abstracted();
+        // The run is exactly column generation from a fresh oracle.
+        let index = LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let compiled =
+            CompiledConstraintSet::compile_with(&role_constraint(), &log, Segmenter::RepeatSplit)
+                .unwrap();
+        let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
+        let direct = select_optimal_colgen(
+            &log,
+            &compiled,
+            &oracle,
+            compiled.group_count_bounds(),
+            colgen_on(),
+        )
+        .unwrap();
+        assert_eq!(result.grouping(), &direct.grouping);
+        assert_eq!(result.distance().to_bits(), direct.distance.to_bits());
+        assert_eq!(result.proven_optimal(), direct.proven_optimal);
+        // And nothing of Step 1 ran.
+        assert_eq!(result.candidate_stats(), &crate::candidates::CandidateStats::default());
+        assert_eq!(result.timings().candidates, Duration::ZERO);
+        assert_eq!(observer.0, 0, "the observer saw Step-1 iterations");
+    }
+
+    #[test]
+    fn lazy_route_reports_infeasibility() {
+        let log = running_example();
+        let constraints = ConstraintSet::parse("size(g) >= 5; groups >= 2;").unwrap();
+        let outcome =
+            Gecco::new(&log).constraints(constraints).selection(colgen_on()).run().unwrap();
+        match outcome {
+            Outcome::Infeasible(rep) => {
+                assert!(
+                    rep.summary.starts_with(
+                        "no feasible grouping: column generation found no exact cover of the \
+                         implicit candidate pool."
+                    ),
+                    "{}",
+                    rep.summary
+                );
+                assert_eq!(rep.candidate_stats, crate::candidates::CandidateStats::default());
                 assert!(!rep.diagnostics.is_empty(), "singletons violate min-size");
             }
             Outcome::Abstracted(_) => panic!("expected infeasible"),

@@ -247,12 +247,17 @@ fn sniff_chunk(
 ) -> CsvFragment {
     let mut interner = Interner::new();
     let mut rows = Vec::with_capacity(records.len());
+    let is_attr = |i: usize, value: &str| i != case_idx && i != act_idx && !value.is_empty();
     for (_, fields) in records {
         let case = interner.intern(&fields[case_idx]);
         let class = interner.intern(&fields[act_idx]);
-        let mut attrs = Vec::new();
+        // Sized exactly: the vector reaches `Event::new` through an
+        // in-place remap, and any spare capacity would cost a shrinking
+        // `realloc` whose freed tail stays stranded next to the event.
+        let len = fields.iter().enumerate().filter(|(i, v)| is_attr(*i, v)).count();
+        let mut attrs = Vec::with_capacity(len);
         for (i, value) in fields.iter().enumerate() {
-            if i == case_idx || i == act_idx || value.is_empty() {
+            if !is_attr(i, value) {
                 continue;
             }
             let key = interner.intern(&header[i]);
@@ -505,6 +510,30 @@ mod tests {
     fn empty_input_is_empty_log() {
         let log = read_str("", &CsvOptions::default()).unwrap();
         assert_eq!(log.traces().len(), 0);
+    }
+
+    #[test]
+    fn sniffed_attributes_are_allocated_at_their_final_size() {
+        // `read_str` remaps each row's attributes in place and hands them
+        // to `Event::new`, which boxes them: spare capacity here would be
+        // shrunk away by a `realloc` that strands the freed tail. Pushing
+        // into `Vec::new()` left capacity 4 for 1 attribute and 8 for 5.
+        let csv = "case,act,a,b,c,d,e\n\
+                   c1,x,1,,,,\n\
+                   c1,y,1,two,3.5,,true\n\
+                   c1,z,1,two,3.5,2021-01-01T00:00:00Z,true\n";
+        let mut splitter = RecordSplitter::new(csv, ',');
+        let (_, header) = splitter.next_record(false).unwrap().unwrap();
+        let mut records = Vec::new();
+        while let Some(record) = splitter.next_record(true).unwrap() {
+            records.push(record);
+        }
+        let fragment = sniff_chunk(&records, &header, 0, 1);
+        let lens: Vec<usize> = fragment.rows.iter().map(|r| r.attrs.len()).collect();
+        assert_eq!(lens, [1, 4, 5]);
+        for row in &fragment.rows {
+            assert_eq!(row.attrs.capacity(), row.attrs.len());
+        }
     }
 
     #[test]

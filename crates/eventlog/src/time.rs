@@ -8,15 +8,16 @@
 use crate::error::{Error, Result};
 use std::fmt::Write as _;
 
-/// Days from 1970-01-01 for a proleptic Gregorian calendar date.
-fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
-    let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = (y - era * 400) as u64; // [0, 399]
+/// Days from 1970-01-01 for a proleptic Gregorian calendar date, or
+/// `None` when the count overflows `i64`.
+fn days_from_civil(y: i64, m: u32, d: u32) -> Option<i64> {
+    let y = if m <= 2 { y.checked_sub(1)? } else { y };
+    let era = y.div_euclid(400);
+    let yoe = y.rem_euclid(400) as u64; // [0, 399]
     let mp = (m + 9) % 12; // [0, 11], Mar=0
     let doy = (153 * mp + 2) / 5 + d - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy as u64; // [0, 146096]
-    era * 146097 + doe as i64 - 719468
+    era.checked_mul(146097)?.checked_add(doe as i64 - 719468)
 }
 
 /// Inverse of [`days_from_civil`].
@@ -72,7 +73,10 @@ fn digits(s: &[u8], n: usize, at: usize) -> Option<i64> {
 ///
 /// Accepted shapes: `YYYY-MM-DD`, `YYYY-MM-DDTHH:MM:SS`, with optional
 /// `.fff` fractional seconds (1–9 digits, truncated to milliseconds) and an
-/// optional zone: `Z`, `+HH:MM`, `-HH:MM`, `+HHMM` or `+HH`.
+/// optional zone: `Z`, `+HH:MM`, `-HH:MM`, `+HHMM` or `+HH`. The year is
+/// the field [`format_iso8601`] writes for any year: an optional `-`, then
+/// digits, four characters at least (`0000`, `-001`, `10000`). A date whose
+/// instant does not fit `i64` milliseconds is an error.
 ///
 /// The calendar date is validated against real month lengths (leap-year
 /// aware): `2021-02-30` or `2021-04-31` are rejected instead of silently
@@ -86,20 +90,36 @@ fn digits(s: &[u8], n: usize, at: usize) -> Option<i64> {
 pub fn parse_iso8601(s: &str) -> Result<i64> {
     let b = s.trim().as_bytes();
     let fail = || Error::Timestamp(s.to_string());
-    let year = digits(b, 4, 0).ok_or_else(fail)?;
-    if b.get(4) != Some(&b'-') {
+    let negative = b.first() == Some(&b'-');
+    let year_digits = &b[usize::from(negative)..];
+    let year_digits = &year_digits[..year_digits.iter().take_while(|c| c.is_ascii_digit()).count()];
+    let year_len = usize::from(negative) + year_digits.len();
+    if year_digits.is_empty() || year_len < 4 {
         return Err(fail());
     }
-    let month = digits(b, 2, 5).ok_or_else(fail)? as u32;
-    if b.get(7) != Some(&b'-') {
+    let magnitude = year_digits
+        .iter()
+        .try_fold(0i64, |v, &c| v.checked_mul(10)?.checked_add(i64::from(c - b'0')))
+        .ok_or_else(fail)?;
+    let year = if negative { -magnitude } else { magnitude };
+    // The rest has fixed offsets from the end of the year.
+    let b = &b[year_len..];
+    if b.first() != Some(&b'-') {
         return Err(fail());
     }
-    let day = digits(b, 2, 8).ok_or_else(fail)? as u32;
+    let month = digits(b, 2, 1).ok_or_else(fail)? as u32;
+    if b.get(3) != Some(&b'-') {
+        return Err(fail());
+    }
+    let day = digits(b, 2, 4).ok_or_else(fail)? as u32;
     if !(1..=12).contains(&month) || !(1..=days_in_month(year, month)).contains(&day) {
         return Err(fail());
     }
-    let mut millis = days_from_civil(year, month, day) * 86_400_000;
-    let mut pos = 10;
+    // In i128 so that no sum below can overflow: the instant is checked
+    // against i64 once, at the end.
+    let days = days_from_civil(year, month, day).ok_or_else(fail)?;
+    let mut millis = i128::from(days) * 86_400_000;
+    let mut pos = 6;
     if b.len() > pos {
         if b[pos] != b'T' && b[pos] != b' ' {
             return Err(fail());
@@ -114,7 +134,7 @@ pub fn parse_iso8601(s: &str) -> Result<i64> {
         if hh > 23 || mm > 59 || ss > 60 {
             return Err(fail());
         }
-        millis += (hh * 3600 + mm * 60 + ss) * 1000;
+        millis += i128::from((hh * 3600 + mm * 60 + ss) * 1000);
         pos += 8;
         // Fractional seconds.
         if b.get(pos) == Some(&b'.') {
@@ -133,7 +153,7 @@ pub fn parse_iso8601(s: &str) -> Result<i64> {
                         .filter(|c| c.is_ascii_digit())
                         .map_or(0, |c| (c - b'0') as i64);
             }
-            millis += frac;
+            millis += i128::from(frac);
         }
         // Zone offset.
         if pos < b.len() {
@@ -155,7 +175,7 @@ pub fn parse_iso8601(s: &str) -> Result<i64> {
                     } else {
                         0
                     };
-                    let offset = (oh * 60 + om) * 60_000;
+                    let offset = i128::from((oh * 60 + om) * 60_000);
                     millis += if sign == b'+' { -offset } else { offset };
                 }
                 _ => return Err(fail()),
@@ -165,7 +185,7 @@ pub fn parse_iso8601(s: &str) -> Result<i64> {
     if pos != b.len() {
         return Err(fail());
     }
-    Ok(millis)
+    i64::try_from(millis).map_err(|_| fail())
 }
 
 /// Formats epoch milliseconds as `YYYY-MM-DDTHH:MM:SS.fffZ` (UTC).
@@ -246,6 +266,45 @@ mod tests {
             (-62_167_219_200_001, "-001-12-31T23:59:59.999Z"),
         ] {
             assert_eq!(format_iso8601(millis), want, "{millis}");
+        }
+    }
+
+    #[test]
+    fn every_written_year_reads_back() {
+        // Both years the four-digit field cannot hold, then a sweep over
+        // ±10^15 ms (about ±31,700 years) and both ends of i64.
+        for t in [253_402_300_800_000, -62_167_219_200_001, i64::MIN, i64::MAX] {
+            let s = format_iso8601(t);
+            assert_eq!(parse_iso8601(&s).unwrap(), t, "round trip failed for {s}");
+        }
+        let step = 9_999_999_967; // ms, prime: every field moves between steps
+        for k in -100_001i64..=100_001 {
+            let t = k * step;
+            let s = format_iso8601(t);
+            assert_eq!(parse_iso8601(&s).ok(), Some(t), "round trip failed for {s}");
+        }
+    }
+
+    #[test]
+    fn year_field_shapes() {
+        assert_eq!(parse_iso8601("-001-12-31T23:59:59.999Z").unwrap(), -62_167_219_200_001);
+        assert_eq!(parse_iso8601("10000-01-01").unwrap(), 253_402_300_800_000);
+        assert_eq!(parse_iso8601("-0001-12-31").unwrap(), parse_iso8601("-001-12-31").unwrap());
+        // Fewer than four characters, no digits, or an instant past i64:
+        // errors, never a panic.
+        for bad in [
+            "-01-01-01",
+            "999-01-01",
+            "--001-01-01",
+            "-",
+            "",
+            "292278995-01-01",
+            "-292275056-01-01",
+            "1000000000000000000000000-01-01",
+            "-1000000000000000000000000-01-01T00:00:00Z",
+            "9223372036854775807-12-31",
+        ] {
+            assert!(matches!(parse_iso8601(bad), Err(Error::Timestamp(_))), "accepted {bad:?}");
         }
     }
 

@@ -265,6 +265,14 @@ mod tests {
     }
 
     #[test]
+    fn written_log_reads_back_to_the_same_bytes() {
+        // Write → parse → write is a fixed point, the dates of years 10000
+        // and -1 included.
+        let back = parse_str(GOLDEN).unwrap();
+        assert_eq!(write_string(&back), GOLDEN);
+    }
+
+    #[test]
     fn round_trip_preserves_structure() {
         let log = sample_log();
         let xes = write_string(&log);

@@ -25,13 +25,15 @@
 //!    latest master solve.
 //! 3. **Restricted IP** — once the LP prices out (no column below `−ε`),
 //!    the existing presolve → decompose → branch-and-bound pipeline solves
-//!    the integer program over the restricted pool.
+//!    the integer program over the restricted pool. Once an incumbent
+//!    exists, it solves over only the pool columns pricing below the gap
+//!    (step 4's argument: no other column can be part of a cheaper cover).
 //! 4. **Gap closing** — for set partitioning, any exact cover `S` obeys
 //!    `cost(S) ≥ z_LP + Σ_{j∈S} rc_j` (complementary slackness absorbs the
 //!    cardinality rows), and after convergence every column — seen or not —
-//!    has `rc ≥ 0`. So a cover beating the incumbent must contain a column
-//!    with `rc < z_IP − z_LP`: threshold-pricing at the gap either grows
-//!    the pool (and the loop repeats) or proves the incumbent optimal.
+//!    has `rc ≥ 0`. So every column of a cover beating the incumbent has
+//!    `rc < z_IP − z_LP`: threshold-pricing at the gap either grows the
+//!    pool (and the loop repeats) or proves the incumbent optimal.
 //!
 //! The enumerated presolved route ([`SetPartitionProblem::solve_presolved`])
 //! stays as the differential oracle: on enumerable pools both routes return
@@ -432,7 +434,7 @@ pub fn solve_column_generation(
                 // artificials: the source was never proven empty, so the
                 // instance is *not* known infeasible — degrade to a
                 // best-effort restricted solve instead of reporting `None`.
-                return degraded(num_elements, bounds, &pool, options, incumbent, stats);
+                return degraded(num_elements, bounds, &pool, &prices, options, incumbent, stats);
             }
             // The LP itself needs artificials: the restricted pool cannot
             // even form a fractional cover. Ask for everything that is
@@ -451,7 +453,15 @@ pub fn solve_column_generation(
                 Exhaust::Grew => continue,
                 Exhaust::ProvenEmpty => return None,
                 Exhaust::Budget => {
-                    return degraded(num_elements, bounds, &pool, options, incumbent, stats)
+                    return degraded(
+                        num_elements,
+                        bounds,
+                        &pool,
+                        &prices,
+                        options,
+                        incumbent,
+                        stats,
+                    )
                 }
             }
         }
@@ -461,78 +471,97 @@ pub fn solve_column_generation(
             stats.lp_bound = z_lp;
         }
 
-        // Restricted IP over the real columns.
+        // Restricted IP over the real columns. Once an incumbent exists,
+        // only columns pricing below the gap can be part of a cheaper
+        // cover (step 4 of the module docs), so the IP skips the rest.
         stats.ip_solves += 1;
-        match restricted_ip(num_elements, bounds, &pool, options) {
-            None => {
-                // LP-feasible but no integer cover in the restricted pool
-                // (cardinality bounds, parity…): only the full pool can
-                // decide, so fall back to exhaustive pricing.
-                match exhaust(
-                    &mut pool,
-                    &mut master,
-                    source,
-                    &prices,
-                    options,
-                    &mut rounds_left,
-                    &mut stats,
-                ) {
-                    Exhaust::Grew => continue,
-                    Exhaust::ProvenEmpty | Exhaust::Budget => {
-                        return incumbent.map(|s| finish(s, &pool, false, stats))
-                    }
-                }
+        let rc_limit =
+            incumbent.as_ref().map_or(f64::INFINITY, |inc| inc.cost - z_lp + options.eps);
+        let Some(solution) = restricted_ip(num_elements, bounds, &pool, &prices, rc_limit, options)
+        else {
+            if let Some(best) = incumbent {
+                // Each column of the incumbent's cover prices below the
+                // gap, so the filtered pool still holds that cover: only
+                // the node budget leaves the IP without one.
+                return Some(finish(best, &pool, false, stats));
             }
-            Some(solution) => {
-                let proven = solution.proven_optimal;
-                let better = incumbent.as_ref().is_none_or(|inc| solution.cost < inc.cost - 1e-12);
-                if better {
-                    incumbent = Some(solution.clone());
-                }
-                if !proven || rounds_left == 0 || budget_out {
-                    let best = incumbent.expect("incumbent was just set or better");
-                    return Some(finish(best, &pool, false, stats));
-                }
-                let gap = solution.cost - z_lp;
-                if gap <= options.eps {
-                    let best = incumbent.expect("incumbent was just set or better");
-                    return Some(finish(best, &pool, true, stats));
-                }
-                // Any cover cheaper than the incumbent is built entirely
-                // from columns pricing below the gap (all reduced costs
-                // are ≥ −eps after convergence and they sum to < gap).
-                rounds_left -= 1;
-                stats.pricing_calls += 1;
-                let request = PricingRequest {
-                    threshold: gap + options.eps,
-                    max_columns: options.pricing_batch,
-                };
-                let fresh =
-                    price_into(&mut pool, &mut master, source, &prices, &request, &mut stats);
-                if !fresh {
-                    let best = incumbent.expect("incumbent was just set or better");
-                    return Some(finish(best, &pool, true, stats));
-                }
+            // LP-feasible but no integer cover in the restricted pool
+            // (cardinality bounds, parity…): only the full pool can
+            // decide, so fall back to exhaustive pricing.
+            match exhaust(
+                &mut pool,
+                &mut master,
+                source,
+                &prices,
+                options,
+                &mut rounds_left,
+                &mut stats,
+            ) {
+                Exhaust::Grew => continue,
+                Exhaust::ProvenEmpty | Exhaust::Budget => return None,
             }
+        };
+        let proven = solution.proven_optimal;
+        if incumbent.as_ref().is_none_or(|inc| solution.cost < inc.cost - 1e-12) {
+            incumbent = Some(solution);
+        }
+        let best = incumbent.as_ref().expect("incumbent was just set or kept");
+        if !proven || rounds_left == 0 || budget_out {
+            return Some(finish(best.clone(), &pool, false, stats));
+        }
+        let gap = best.cost - z_lp;
+        if gap <= options.eps {
+            return Some(finish(best.clone(), &pool, true, stats));
+        }
+        // Any cover cheaper than the incumbent is built entirely from
+        // columns pricing below the gap (all reduced costs are ≥ −eps
+        // after convergence and they sum to < gap).
+        rounds_left -= 1;
+        stats.pricing_calls += 1;
+        let request =
+            PricingRequest { threshold: gap + options.eps, max_columns: options.pricing_batch };
+        if !price_into(&mut pool, &mut master, source, &prices, &request, &mut stats) {
+            return Some(finish(best.clone(), &pool, true, stats));
         }
     }
 }
 
-/// The restricted IP over the current pool.
+/// The restricted IP over the pool columns whose reduced cost under
+/// `prices` lies below `rc_limit` (every column when it is infinite).
+/// The solution's `selected` indexes the pool.
+///
+/// A finite limit must not cut a cover the caller still needs. The loop
+/// passes `incumbent.cost − z_LP + eps` under the duals of the master it
+/// just solved over the whole pool: every exact cover `S` within the count
+/// bounds has `cost(S) ≥ z_LP + Σ_{j∈S} rc_j`, and every pool column has
+/// `rc_j ≥ 0` up to the simplex tolerance. So each column of a cover no
+/// dearer than the incumbent prices at most the gap plus that tolerance,
+/// below the limit: the incumbent's own cover stays, and so does every
+/// cover that could replace it.
 fn restricted_ip(
     num_elements: usize,
     bounds: (Option<usize>, Option<usize>),
     pool: &Pool,
+    prices: &DualPrices<'_>,
+    rc_limit: f64,
     options: &ColGenOptions,
 ) -> Option<SetPartitionSolution> {
     let mut problem = SetPartitionProblem::new(num_elements);
     problem.min_sets = bounds.0;
     problem.max_sets = bounds.1;
     problem.max_nodes = options.max_nodes;
-    for (members, cost) in &pool.columns {
-        problem.add_set(members.clone(), *cost);
+    let mut kept = Vec::new();
+    for (j, (members, cost)) in pool.columns.iter().enumerate() {
+        if prices.reduced_cost(members, *cost) < rc_limit {
+            kept.push(j);
+            problem.add_set(members.clone(), *cost);
+        }
     }
-    problem.solve_presolved(options.engine, &options.presolve)
+    let mut solution = problem.solve_presolved(options.engine, &options.presolve)?;
+    for i in &mut solution.selected {
+        *i = kept[*i];
+    }
+    Some(solution)
 }
 
 /// Best-effort exit when the round budget died before the master shed its
@@ -544,12 +573,14 @@ fn degraded(
     num_elements: usize,
     bounds: (Option<usize>, Option<usize>),
     pool: &Pool,
+    prices: &DualPrices<'_>,
     options: &ColGenOptions,
     incumbent: Option<SetPartitionSolution>,
     mut stats: ColGenStats,
 ) -> Option<ColGenSolution> {
     stats.ip_solves += 1;
-    let solution = match (restricted_ip(num_elements, bounds, pool, options), incumbent) {
+    let found = restricted_ip(num_elements, bounds, pool, prices, f64::INFINITY, options);
+    let solution = match (found, incumbent) {
         (Some(found), Some(inc)) => {
             if found.cost < inc.cost - 1e-12 {
                 found
@@ -776,6 +807,29 @@ mod tests {
         assert!((s.cost - 1.55).abs() < 1e-9, "{s:?}");
         assert_eq!(s.columns.len(), 1);
         assert!(s.stats.ip_solves >= 2, "gap closing re-solved the IP: {:?}", s.stats);
+    }
+
+    #[test]
+    fn gap_closing_ip_keeps_columns_pricing_inside_the_gap() {
+        // The odd cycle above plus element 3. The LP settles at 2.5 (pairs
+        // at ½, duals ½ on elements 0–2 and 1 on element 3), and the first
+        // IP pays 2.7 for a pair, a singleton and {3}: a gap of 0.2. Gap
+        // pricing brings {2,3} in at reduced cost 0.15, and the cheaper
+        // cover {0,1} + {2,3} = 2.65 needs it, so the second IP must keep
+        // a column whose reduced cost lies strictly inside the gap.
+        let pool: &[(&[usize], f64)] = &[
+            (&[0], 0.7),
+            (&[1], 0.7),
+            (&[2], 0.7),
+            (&[0, 1], 1.0),
+            (&[1, 2], 1.0),
+            (&[0, 2], 1.0),
+            (&[3], 1.0),
+            (&[2, 3], 1.65),
+        ];
+        let s = assert_matches_oracle(4, (None, None), pool, 7).unwrap();
+        assert_eq!(s.columns, vec![(vec![0, 1], 1.0), (vec![2, 3], 1.65)]);
+        assert_eq!(s.stats.ip_solves, 2, "{:?}", s.stats);
     }
 
     #[test]

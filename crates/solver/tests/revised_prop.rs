@@ -9,15 +9,19 @@
 //!   certify optimality (primal feasibility + strong duality + dual
 //!   feasibility), so agreement can never be two engines sharing a bug.
 //! * **Column generation** — both master engines of
-//!   [`solve_column_generation`] on random set-partitioning instances:
-//!   same feasibility verdict, same optimal cost, and every returned
-//!   selection is an exact cover. Pricing trajectories legitimately
-//!   differ (dual degeneracy), so the invariant is the optimum, not the
-//!   pool.
+//!   [`solve_column_generation`] on random set-partitioning instances,
+//!   against each other and against the whole pool solved outright
+//!   ([`SetPartitionProblem::solve_presolved`]): same feasibility verdict,
+//!   same optimal cost, and every returned selection is an exact cover.
+//!   Pricing trajectories legitimately differ (dual degeneracy), so the
+//!   invariant is the optimum, not the pool. The ground truth catches what
+//!   two engines agreeing cannot: a loop step both share (such as the
+//!   restricted IP's reduced-cost filter) cutting the optimum away.
 
 use gecco_solver::{
     solve_column_generation, solve_lp_with_duals, solve_lp_with_duals_revised, ColGenOptions,
-    EnumeratedColumnSource, LpDualResult, MasterEngine, Model, Sense,
+    EnumeratedColumnSource, LpDualResult, MasterEngine, Model, PresolveOptions, Sense,
+    SetPartitionProblem, SolveEngine,
 };
 use proptest::prelude::*;
 
@@ -124,6 +128,13 @@ proptest! {
     fn colgen_routes_agree_on_random_instances(spec in setpart_spec()) {
         let (n, pool, warm, min_sets, max_sets) = spec;
         let warm_cols: Vec<(Vec<usize>, f64)> = pool[..warm.min(pool.len())].to_vec();
+        let mut whole = SetPartitionProblem::new(n);
+        whole.min_sets = min_sets;
+        whole.max_sets = max_sets;
+        for (members, cost) in &pool {
+            whole.add_set(members.clone(), *cost);
+        }
+        let truth = whole.solve_presolved(SolveEngine::default(), &PresolveOptions::default());
         let mut outcomes: Vec<(String, Option<(f64, bool)>)> = Vec::new();
         for master in [MasterEngine::Revised, MasterEngine::Dense] {
             let options = ColGenOptions { master, ..ColGenOptions::default() };
@@ -148,6 +159,19 @@ proptest! {
                 prop_assert!(covered.iter().all(|&c| c == 1), "{}: not a cover: {:?}", label, s);
                 prop_assert!(min_sets.is_none_or(|min| s.columns.len() >= min), "{}: {:?}", label, s);
                 prop_assert!(max_sets.is_none_or(|max| s.columns.len() <= max), "{}: {:?}", label, s);
+            }
+            match (&s, &truth) {
+                (None, None) => {}
+                (Some(s), Some(t)) => prop_assert!(
+                    (s.cost - t.cost).abs() < 1e-9,
+                    "{} cost {} vs whole-pool optimum {}",
+                    label, s.cost, t.cost
+                ),
+                _ => prop_assert!(
+                    false,
+                    "{}: feasibility differs from the whole pool's: {:?} vs {:?}",
+                    label, s, truth
+                ),
             }
             outcomes.push((label, s.map(|s| (s.cost, s.proven_optimal))));
         }
